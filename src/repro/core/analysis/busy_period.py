@@ -25,11 +25,20 @@ period has no finite bound and the subtask's bound is reported as
 iteration is run with an analytic cap as a safety net.  ``abort_above``
 lets SA/DS cut the ``m`` loop as soon as some instance provably exceeds
 the paper's 300-period failure cutoff.
+
+There is one implementation.  An analysis call compiles its system once
+(:class:`CompiledSystem`: index arrays in the call's timebase plus the
+jitter-independent part of every subtask's analysis), and
+:func:`busy_period_kernel` runs Steps 1-5 for one subtask over them.
+:func:`analyze_subtask`, Algorithm IEERT and SA/PM are thin adapters
+over the kernel; ``docs/analysis.md`` describes the layout and the
+float-order invariants the kernel keeps.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -38,12 +47,22 @@ from repro.core.analysis.fixpoint import solve_fixed_point
 from repro.errors import AnalysisError
 from repro.model.system import System
 from repro.model.task import SubtaskId
-from repro.timebase import ABS_EPS, FLOAT, Timebase
+from repro.timebase import ABS_EPS, FLOAT, REL_EPS, Timebase
 
-__all__ = ["SubtaskBusyPeriod", "analyze_subtask", "interference_terms"]
+__all__ = [
+    "CompiledSystem",
+    "SubtaskBusyPeriod",
+    "SubtaskTerms",
+    "analyze_subtask",
+    "busy_period_kernel",
+    "interference_terms",
+]
 
 #: Interference term: (execution time, period, subtask id).
 Term = tuple[float, float, SubtaskId]
+
+#: The kernel's answer for a diverged subtask (see ``busy_period_kernel``).
+_DIVERGED = (None, 0, (), None, False)
 
 
 @dataclass(frozen=True)
@@ -83,21 +102,141 @@ def interference_terms(system: System, sid: SubtaskId) -> list[Term]:
     ]
 
 
-def _demand(
-    terms: Sequence[Term],
-    jitter: Mapping[SubtaskId, float],
-    base: float,
-    timebase: Timebase,
-) -> "callable":
-    """Build ``W(t) = base + sum ceil((t + J)/p) e`` over ``terms``."""
+def _denominator_lcm(values, scale: int = 1) -> int:
+    """LCM of ``scale`` and the denominators of the Fractions in ``values``."""
+    for value in values:
+        if isinstance(value, Fraction):
+            d = value.denominator
+            scale = scale * d // math.gcd(scale, d)
+    return scale
 
-    packed = [(e, p, jitter.get(other, 0)) for (e, p, other) in terms]
 
-    if timebase.exact:
+class SubtaskTerms:
+    """The jitter-independent inputs of one subtask's kernel run.
+
+    ``inter_e`` / ``inter_p`` are the interferers' execution times and
+    periods in ``System.interference_set`` order; every value is in the
+    analysis' timebase.  The utilization and execution-time sums run over
+    the interferers and then the subtask itself -- float results depend
+    on that order.  Under the exact timebase ``scale`` is the LCM of the
+    denominators of these static values.
+    """
+
+    __slots__ = (
+        "sid",
+        "wcet",
+        "period",
+        "inter_e",
+        "inter_p",
+        "diverged",
+        "slack",
+        "interference_slack",
+        "wcet_sum",
+        "scale",
+    )
+
+    def __init__(
+        self,
+        sid: SubtaskId,
+        wcet,
+        period,
+        inter_e: tuple,
+        inter_p: tuple,
+        timebase: Timebase,
+    ) -> None:
+        self.sid = sid
+        self.wcet = wcet
+        self.period = period
+        self.inter_e = inter_e
+        self.inter_p = inter_p
+        # Ratios (utilizations, caps) stay exact under the exact backend.
+        ratio = Fraction if timebase.exact else operator.truediv
+        shares = [ratio(e, p) for e, p in zip(inter_e, inter_p)]
+        # Divergence pre-check: the long-run demand rate of H ∪ {self}.
+        level_utilization = sum(shares + [ratio(wcet, period)])
+        self.diverged = (
+            level_utilization >= 1
+            if timebase.exact
+            else level_utilization >= 1.0 - ABS_EPS
+        )
+        self.slack = 1 - level_utilization
+        self.interference_slack = 1 - sum(shares)
+        self.wcet_sum = sum(inter_e + (wcet,))
+        self.scale = (
+            _denominator_lcm((period, wcet) + inter_e + inter_p)
+            if timebase.exact
+            else 1
+        )
+
+
+class CompiledSystem:
+    """A system as index arrays, in one timebase.
+
+    Subtask ``k`` is ``sids[k]`` (``System.subtask_ids`` order).
+    ``period[k]`` and ``wcet[k]`` are converted once; ``interferers[k]``
+    lists the indices of ``H_k`` in ``System.interference_set`` order;
+    ``predecessor[k]`` is the previous subtask on the chain (``-1`` for a
+    first subtask); ``is_last[k]`` flags chain ends; ``terms[k]`` holds
+    the jitter-independent part of subtask ``k``'s analysis.  Built once
+    per analysis call and dropped with it.
+    """
+
+    __slots__ = (
+        "sids",
+        "period",
+        "wcet",
+        "interferers",
+        "predecessor",
+        "is_last",
+        "terms",
+    )
+
+    def __init__(self, system: System, timebase: Timebase = FLOAT) -> None:
+        convert = timebase.convert
+        self.sids = sids = system.subtask_ids
+        stages = []
+        self.period = period = []
+        self.predecessor = []
+        self.is_last = []
+        for k, sid in enumerate(sids):
+            task = system.tasks[sid.task_index]
+            stages.append(task.subtasks[sid.subtask_index])
+            period.append(convert(task.period))
+            self.predecessor.append(k - 1 if sid.subtask_index else -1)
+            self.is_last.append(sid.subtask_index == task.chain_length - 1)
+        self.wcet = wcet = [convert(stage.execution_time) for stage in stages]
+        on_processor: dict[str, list[int]] = {}
+        for k, stage in enumerate(stages):
+            on_processor.setdefault(stage.processor, []).append(k)
+        self.interferers = [
+            tuple(
+                other
+                for other in on_processor[stage.processor]
+                if other != k and stages[other].priority <= stage.priority
+            )
+            for k, stage in enumerate(stages)
+        ]
+        self.terms = [
+            SubtaskTerms(
+                sid,
+                wcet[k],
+                period[k],
+                tuple(wcet[other] for other in self.interferers[k]),
+                tuple(period[other] for other in self.interferers[k]),
+                timebase,
+            )
+            for k, sid in enumerate(sids)
+        ]
+
+
+def _busy_demand(packed: list, base, exact: bool):
+    """``W(t) = base + sum ceil((t + J)/p) e`` over ``(e, p, J)`` triples,
+    accumulated left to right onto ``base``."""
+    if exact:
         # Floor division works on ints and Fractions alike and skips the
         # normalized-Fraction construction a true division would pay for;
         # ``-(-a // b)`` is exact ceiling division for positive periods.
-        def demand(t: float) -> float:
+        def demand(t):
             total = base
             for e, p, j in packed:
                 total += -(-(t + j) // p) * e
@@ -105,55 +244,183 @@ def _demand(
 
         return demand
 
-    ceil = timebase.ceil
+    ceil, eps = math.ceil, REL_EPS
 
-    def demand(t: float) -> float:
+    def demand(t):
         total = base
         for e, p, j in packed:
-            total += ceil((t + j) / p) * e
+            total += ceil((t + j) / p - eps) * e
         return total
 
     return demand
 
 
-def _rescale_inputs(
-    period, blocking, jitter, terms, own_term, abort_above
-):
-    """Scale every (rational) input by the LCM of the denominators.
+def _completion_demand(packed: list, base, exact: bool):
+    """``W(t) = base + (0 + sum ceil((t + J)/p) e)``: the interference is
+    summed from zero and ``base`` added last (float results depend on it)."""
+    if exact:
 
-    Converted floats are dyadic rationals (``n / 2**k``), so the LCM is
-    just the largest denominator and every scaled value is an exact
-    machine integer.  Returns ``None`` when a non-rational value (an
-    infinity sentinel) is present, in which case the caller keeps the
-    generic Fraction arithmetic.
-    """
-    values = [period, blocking, own_term[0]]
-    values.extend(v for (e, p, _sid) in terms for v in (e, p))
-    values.extend(jitter.values())
-    if abort_above is not None:
-        values.append(abort_above)
-    if not all(isinstance(v, (int, Fraction)) for v in values):
-        return None
-    scale = 1
-    for value in values:
-        if isinstance(value, Fraction):
-            d = value.denominator
-            scale = scale * d // math.gcd(scale, d)
+        def demand(t):
+            total = 0
+            for e, p, j in packed:
+                total += -(-(t + j) // p) * e
+            return base + total
 
-    def up(value):
-        if isinstance(value, Fraction):
-            return value.numerator * (scale // value.denominator)
-        return value * scale
+        return demand
 
-    period_s = up(period)
+    ceil, eps = math.ceil, REL_EPS
+
+    def demand(t):
+        total = 0.0
+        for e, p, j in packed:
+            total += ceil((t + j) / p - eps) * e
+        return base + total
+
+    return demand
+
+
+def _finish(busy_period, instance_count, per_instance, bound, aborted, out):
+    if out is None:
+        return busy_period, instance_count, tuple(per_instance), bound, aborted
     return (
-        period_s,
-        up(blocking),
-        {other: up(v) for other, v in jitter.items()},
-        [(up(e), up(p), other) for (e, p, other) in terms],
-        (up(own_term[0]), period_s, own_term[2]),
-        up(abort_above) if abort_above is not None else None,
-        scale,
+        out(busy_period),
+        instance_count,
+        tuple(out(v) for v in per_instance),
+        None if bound is None else out(bound),
+        aborted,
+    )
+
+
+def busy_period_kernel(
+    terms: SubtaskTerms,
+    own_jitter,
+    inter_jitter: Sequence,
+    blocking,
+    abort_above,
+    timebase: Timebase,
+) -> tuple:
+    """Steps 1-5 for one subtask: the one busy-period implementation.
+
+    ``own_jitter`` is the subtask's release jitter ``J_i,j``,
+    ``inter_jitter`` one jitter per interferer (in ``terms`` order) and
+    ``abort_above`` the optional cutoff, all already in ``timebase``;
+    ``blocking`` is converted here.  Returns the fields of
+    :class:`SubtaskBusyPeriod` after ``sid``: ``(busy_period,
+    instance_count, per_instance_bounds, bound, aborted)``.  The result
+    is a pure function of the arguments, which is what lets SA/DS carry
+    a subtask's bound forward while its inputs are unchanged.
+    """
+    if own_jitter < 0:
+        raise AnalysisError(
+            f"negative jitter for {terms.sid}: {own_jitter!r}"
+        )
+    if blocking < 0:
+        raise AnalysisError(f"negative blocking for {terms.sid}: {blocking!r}")
+    if terms.diverged:
+        return _DIVERGED
+    exact = timebase.exact
+    blocking = timebase.convert(blocking)
+    period, wcet, wcet_sum = terms.period, terms.wcet, terms.wcet_sum
+    inter_e, inter_p = terms.inter_e, terms.inter_p
+
+    # Exact fast path: rescale the whole analysis by the LCM of every
+    # denominator in play, so the fixpoint iterations below run on plain
+    # machine integers (ceiling division, int compares) instead of
+    # normalized Fractions paying a gcd per operation.  Results are
+    # descaled on the way out; the arithmetic is identical.  Converted
+    # floats are dyadic rationals, so the LCM is just the largest
+    # denominator.  A non-rational input (an infinity sentinel) keeps the
+    # generic Fraction arithmetic.
+    out = None
+    if exact:
+        dynamic = [own_jitter, blocking, *inter_jitter]
+        if abort_above is not None:
+            dynamic.append(abort_above)
+        if all(isinstance(v, (int, Fraction)) for v in dynamic):
+            scale = _denominator_lcm(dynamic, terms.scale)
+            if scale > 1:
+
+                def up(value):
+                    if isinstance(value, Fraction):
+                        return value.numerator * (scale // value.denominator)
+                    return value * scale
+
+                period, wcet, wcet_sum = up(period), up(wcet), up(wcet_sum)
+                inter_e = [up(e) for e in inter_e]
+                inter_p = [up(p) for p in inter_p]
+                inter_jitter = [up(j) for j in inter_jitter]
+                own_jitter, blocking = up(own_jitter), up(blocking)
+                if abort_above is not None:
+                    abort_above = up(abort_above)
+                out = lambda v: timebase.convert(Fraction(v, scale))  # noqa: E731
+
+    # Analytic caps: a demand W(t) = base + sum ceil((t + J)/p) e obeys
+    # W(t) <= base + U' t + sum (J/p + 1) e with U' the terms' utilization,
+    # so its least fixed point is at most (base + sum (J/p + 1) e)/(1 - U').
+    # Doubling gives a safety net that a correct iteration can never hit.
+    ratio = Fraction if exact else operator.truediv
+    inter_loads = [
+        (ratio(j, p) + 1) * e
+        for e, p, j in zip(inter_e, inter_p, inter_jitter)
+    ]
+    jitter_load_all = sum(
+        inter_loads + [(ratio(own_jitter, period) + 1) * wcet]
+    )
+    jitter_load_interference = sum(inter_loads)
+    cap_busy = 2 * ratio(jitter_load_all + blocking, terms.slack) + period
+
+    # Step 1: busy-period length D_i,j (self term included).
+    packed = list(zip(inter_e, inter_p, inter_jitter))
+    busy_period = solve_fixed_point(
+        _busy_demand(packed + [(wcet, period, own_jitter)], blocking, exact),
+        wcet_sum + blocking,
+        cap_busy,
+        timebase=timebase,
+    )
+    if busy_period is None:  # pragma: no cover - cap is analytic, see above
+        return _DIVERGED
+
+    # Step 2: number of instances in the busy period.
+    if exact:
+        instance_count = max(1, -(-(busy_period + own_jitter) // period))
+    else:
+        instance_count = max(
+            1, math.ceil((busy_period + own_jitter) / period - REL_EPS)
+        )
+
+    # Steps 3-5: completion bound per instance, response/IEER bound, max.
+    per_instance: list = []
+    previous_completion = timebase.zero
+    for m in range(1, instance_count + 1):
+        base = m * wcet + blocking
+        cap_completion = (
+            2 * ratio(base + jitter_load_interference, terms.interference_slack)
+            + period
+        )
+        completion = solve_fixed_point(
+            _completion_demand(packed, base, exact),
+            max(base, previous_completion + wcet),
+            cap_completion,
+            timebase=timebase,
+        )
+        if completion is None:  # pragma: no cover - analytic cap
+            return _finish(
+                busy_period, instance_count, per_instance, None, False, out
+            )
+        previous_completion = completion
+        instance_bound = completion + own_jitter - (m - 1) * period
+        per_instance.append(instance_bound)
+        if abort_above is not None and instance_bound > abort_above:
+            return _finish(
+                busy_period, instance_count, per_instance, None, True, out
+            )
+    return _finish(
+        busy_period,
+        instance_count,
+        per_instance,
+        max(per_instance),
+        False,
+        out,
     )
 
 
@@ -194,151 +461,23 @@ def analyze_subtask(
         points with exact ceilings and ``==`` convergence.
     """
     jitter = jitter or {}
+    convert = timebase.convert
     subtask = system.subtask(sid)
-    period = timebase.convert(system.period_of(sid))
-    own_jitter_raw = jitter.get(sid, 0)
-    if own_jitter_raw < 0:
-        raise AnalysisError(f"negative jitter for {sid}: {own_jitter_raw!r}")
-    if blocking < 0:
-        raise AnalysisError(f"negative blocking for {sid}: {blocking!r}")
-    blocking = timebase.convert(blocking)
-    jitter = {
-        other: timebase.convert(value) for other, value in jitter.items()
-    }
-    own_jitter = jitter.get(sid, 0)
-    terms = [
-        (timebase.convert(e), timebase.convert(p), other)
-        for (e, p, other) in interference_terms(system, sid)
-    ]
-    own_term: Term = (timebase.convert(subtask.execution_time), period, sid)
-    if abort_above is not None:
-        abort_above = timebase.convert(abort_above)
-
-    # Exact fast path: rescale the whole analysis by the LCM of every
-    # denominator in play, so the fixpoint iterations below run on plain
-    # machine integers (ceiling division, int compares) instead of
-    # normalized Fractions paying a gcd per operation.  Results are
-    # descaled on the way out; the arithmetic is identical.
-    descale = None
-    if timebase.exact:
-        scaled = _rescale_inputs(
-            period, blocking, jitter, terms, own_term, abort_above
-        )
-        if scaled is not None:
-            period, blocking, jitter, terms, own_term, abort_above, scale = (
-                scaled
-            )
-            own_jitter = jitter.get(sid, 0)
-            if scale > 1:
-                descale = lambda v: timebase.convert(Fraction(v, scale))
-
-    # Ratios (utilizations, caps) must stay exact under the exact
-    # backend even when the operands are (scaled) ints.
-    ratio = Fraction if timebase.exact else (lambda a, b: a / b)
-
-    # Divergence pre-check: the long-run demand rate of H ∪ {self}.
-    level_utilization = sum(
-        ratio(e, p) for (e, p, _sid) in terms + [own_term]
+    interferers = system.interference_set(sid)
+    terms = SubtaskTerms(
+        sid,
+        convert(subtask.execution_time),
+        convert(system.period_of(sid)),
+        tuple(convert(system.subtask(o).execution_time) for o in interferers),
+        tuple(convert(system.period_of(o)) for o in interferers),
+        timebase,
     )
-    diverged = (
-        level_utilization >= 1
-        if timebase.exact
-        else level_utilization >= 1.0 - ABS_EPS
+    record = busy_period_kernel(
+        terms,
+        convert(jitter.get(sid, 0)),
+        [convert(jitter.get(o, 0)) for o in interferers],
+        blocking,
+        None if abort_above is None else convert(abort_above),
+        timebase,
     )
-    if diverged:
-        return SubtaskBusyPeriod(
-            sid=sid,
-            busy_period=None,
-            instance_count=0,
-            per_instance_bounds=(),
-            bound=None,
-        )
-
-    # Analytic caps: a demand W(t) = base + sum ceil((t + J)/p) e obeys
-    # W(t) <= base + U' t + sum (J/p + 1) e with U' the terms' utilization,
-    # so its least fixed point is at most (base + sum (J/p + 1) e)/(1 - U').
-    # Doubling gives a safety net that a correct iteration can never hit.
-    slack = 1 - level_utilization
-    jitter_load_all = sum(
-        (ratio(jitter.get(other, 0), p) + 1) * e
-        for (e, p, other) in terms + [own_term]
-    )
-    cap_busy = 2 * ratio(jitter_load_all + blocking, slack) + period
-
-    interference_utilization = sum(ratio(e, p) for (e, p, _sid) in terms)
-    interference_slack = 1 - interference_utilization
-    jitter_load_interference = sum(
-        (ratio(jitter.get(other, 0), p) + 1) * e for (e, p, other) in terms
-    )
-
-    # Step 1: busy-period length D_i,j (self term included).
-    all_demand = _demand(terms + [own_term], jitter, blocking, timebase)
-    start = sum(e for (e, _p, _sid) in terms + [own_term]) + blocking
-    busy_period = solve_fixed_point(
-        all_demand, start, cap_busy, timebase=timebase
-    )
-    if busy_period is None:  # pragma: no cover - cap is analytic, see above
-        return SubtaskBusyPeriod(
-            sid=sid,
-            busy_period=None,
-            instance_count=0,
-            per_instance_bounds=(),
-            bound=None,
-        )
-
-    # Step 2: number of instances in the busy period.
-    if timebase.exact:
-        instance_count = max(1, -(-(busy_period + own_jitter) // period))
-    else:
-        instance_count = max(
-            1, timebase.ceil((busy_period + own_jitter) / period)
-        )
-
-    # Steps 3-5: completion bound per instance, response/IEER bound, max.
-    out = descale if descale is not None else (lambda v: v)
-    execution_time = own_term[0]
-    interference = _demand(terms, jitter, timebase.zero, timebase)
-    per_instance: list[float] = []
-    previous_completion = timebase.zero
-    for m in range(1, instance_count + 1):
-        base = m * execution_time + blocking
-
-        def completion_demand(t: float, _base: float = base) -> float:
-            return _base + interference(t)
-
-        cap_completion = (
-            2 * ratio(base + jitter_load_interference, interference_slack)
-            + period
-        )
-        warm_start = max(base, previous_completion + execution_time)
-        completion = solve_fixed_point(
-            completion_demand, warm_start, cap_completion, timebase=timebase
-        )
-        if completion is None:  # pragma: no cover - analytic cap
-            return SubtaskBusyPeriod(
-                sid=sid,
-                busy_period=out(busy_period),
-                instance_count=instance_count,
-                per_instance_bounds=tuple(out(v) for v in per_instance),
-                bound=None,
-            )
-        previous_completion = completion
-        instance_bound = completion + own_jitter - (m - 1) * period
-        per_instance.append(instance_bound)
-        if abort_above is not None and instance_bound > abort_above:
-            return SubtaskBusyPeriod(
-                sid=sid,
-                busy_period=out(busy_period),
-                instance_count=instance_count,
-                per_instance_bounds=tuple(out(v) for v in per_instance),
-                bound=None,
-                aborted=True,
-            )
-
-    return SubtaskBusyPeriod(
-        sid=sid,
-        busy_period=out(busy_period),
-        instance_count=instance_count,
-        per_instance_bounds=tuple(out(v) for v in per_instance),
-        bound=out(max(per_instance)),
-    )
+    return SubtaskBusyPeriod(sid, *record)

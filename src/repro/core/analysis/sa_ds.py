@@ -19,14 +19,22 @@ Algorithm SA/DS (Fig. 11) iterates IEERT from the optimistic seed
 (Theorem 2: any positive fixed point is a correct bound) -- or until some
 task's bound exceeds the paper's failure cutoff of 300 periods, in which
 case the bound is reported "for all practical purposes infinite".
+
+:func:`analyze_sa_ds` runs the iteration as a worklist: a subtask is
+recomputed on a pass only when one of its inputs changed since the
+previous pass (see the function's docstring).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from repro.core.analysis.busy_period import analyze_subtask
+from repro.core.analysis.busy_period import CompiledSystem, busy_period_kernel
+
+# Unused here, but kept bound at this module's name: the benchmark's
+# tracer (perfbench/spans.py) wraps ``sa_ds.analyze_subtask``.
+from repro.core.analysis.busy_period import analyze_subtask  # noqa: F401
 from repro.core.analysis.results import FAILURE_FACTOR, AnalysisResult
 from repro.errors import AnalysisError
 from repro.model.system import System
@@ -66,16 +74,54 @@ def initial_ieer_bounds(
     }
 
 
-def _jitter_view(
-    system: System, bounds: Mapping[SubtaskId, float]
-) -> dict[SubtaskId, float]:
-    """Release jitter per subtask: its predecessor's IEER bound, 0 for
-    first subtasks (``R_u,0 = 0`` in the paper's notation)."""
-    view: dict[SubtaskId, float] = {}
-    for sid in system.subtask_ids:
-        predecessor = sid.predecessor
-        view[sid] = bounds[predecessor] if predecessor is not None else 0
-    return view
+def _jitters(
+    release_jitter: Sequence, extra: Sequence, timebase: Timebase
+) -> tuple[list, list]:
+    """Per-subtask jitter in ``timebase``: as the analyzed subtask, and as
+    an interferer.
+
+    ``release_jitter[k]`` is subtask ``k``'s predecessor bound (``0`` for
+    first subtasks: ``R_u,0 = 0`` in the paper's notation).  As an
+    interferer a subtask also carries its ``extra`` deferral, if any.
+    """
+    convert = timebase.convert
+    own = [convert(j) for j in release_jitter]
+    interfering = [
+        own[k] if deferral is None else convert(release_jitter[k] + deferral)
+        for k, deferral in enumerate(extra)
+    ]
+    return own, interfering
+
+
+def _ieert_bound(
+    compiled: CompiledSystem,
+    k: int,
+    own: Sequence,
+    interfering: Sequence,
+    blocking,
+    cutoff,
+    timebase: Timebase,
+):
+    """Algorithm IEERT for subtask ``k``: its new bound (``inf`` when
+    unbounded).  Infinite inputs propagate without running the kernel."""
+    inter_jitter = [interfering[other] for other in compiled.interferers[k]]
+    if (
+        math.isinf(own[k])
+        or any(math.isinf(j) for j in inter_jitter)
+        or math.isinf(blocking)
+    ):
+        return math.inf
+    bound = busy_period_kernel(
+        compiled.terms[k], own[k], inter_jitter, blocking, cutoff, timebase
+    )[3]
+    return math.inf if bound is None else bound
+
+
+def _extra_list(
+    compiled: CompiledSystem, extra_jitter: Mapping[SubtaskId, float] | None
+) -> list:
+    extra = extra_jitter or {}
+    return [extra.get(sid) for sid in compiled.sids]
 
 
 def ieert_pass(
@@ -105,39 +151,29 @@ def ieert_pass(
     its waits.
     """
     timebase = get_timebase(timebase)
-    jitter = _jitter_view(system, bounds)
+    compiled = CompiledSystem(system, timebase)
+    sids = compiled.sids
+    own, interfering = _jitters(
+        [bounds[sids[p]] if p >= 0 else 0 for p in compiled.predecessor],
+        _extra_list(compiled, extra_jitter),
+        timebase,
+    )
     blocking = blocking or {}
-    extra = extra_jitter or {}
-    new_bounds: dict[SubtaskId, float] = {}
-    for sid in system.subtask_ids:
-        period = timebase.convert(system.period_of(sid))
-        interferers = list(system.interference_set(sid))
-        relevant = [jitter[sid]] + [
-            jitter[other] + extra.get(other, 0) for other in interferers
-        ]
-        own_blocking = blocking.get(sid, 0)
-        if any(math.isinf(j) for j in relevant) or math.isinf(own_blocking):
-            new_bounds[sid] = math.inf
-            continue
-        cutoff = (
-            timebase.convert(failure_factor) * period
-            if failure_factor is not None
-            else None
+    factor = (
+        None if failure_factor is None else timebase.convert(failure_factor)
+    )
+    return {
+        sid: _ieert_bound(
+            compiled,
+            k,
+            own,
+            interfering,
+            blocking.get(sid, 0),
+            None if factor is None else factor * compiled.period[k],
+            timebase,
         )
-        adjusted = dict(jitter)
-        for other in interferers:
-            if other in extra:
-                adjusted[other] = jitter[other] + extra[other]
-        record = analyze_subtask(
-            system,
-            sid,
-            adjusted,
-            abort_above=cutoff,
-            blocking=own_blocking,
-            timebase=timebase,
-        )
-        new_bounds[sid] = math.inf if record.bound is None else record.bound
-    return new_bounds
+        for k, sid in enumerate(sids)
+    }
 
 
 def analyze_sa_ds(
@@ -159,6 +195,14 @@ def analyze_sa_ds(
     ``extra_jitter`` are handed to every IEERT pass (see
     :func:`ieert_pass`); both default to the resource-free base case.
 
+    Each pass equals one :func:`ieert_pass`, run as a worklist: subtask
+    ``k`` is recomputed only when its own jitter (its predecessor's
+    bound) or the interference jitter of one of its interferers is not
+    ``==`` to the value the previous pass used; otherwise its previous
+    output carries forward.  The busy-period kernel is a pure function
+    of those inputs, so every pass's bounds -- and with them convergence
+    and the pass count -- are exactly those of full passes.
+
     Raises
     ------
     AnalysisError
@@ -172,32 +216,63 @@ def analyze_sa_ds(
             f"max_iterations must be >= 1, got {max_iterations!r}"
         )
     timebase = get_timebase(timebase)
-    bounds = initial_ieer_bounds(system, timebase=timebase)
+    compiled = CompiledSystem(system, timebase)
+    sids = compiled.sids
+    count = len(sids)
+    seed = initial_ieer_bounds(system, timebase=timebase)
+    bounds = [seed[sid] for sid in sids]
     cutoff_factor = timebase.convert(failure_factor)
-    periods = {
-        task_index: timebase.convert(task.period)
-        for task_index, task in enumerate(system.tasks)
-    }
+    # failure_factor * p_i: the per-instance abort, and at last subtasks
+    # the task-level cutoff.
+    cutoffs = [cutoff_factor * period for period in compiled.period]
+    blocking = blocking or {}
+    own_blocking = [blocking.get(sid, 0) for sid in sids]
+    extra = _extra_list(compiled, extra_jitter)
+    lasts = [k for k in range(count) if compiled.is_last[k]]
+    # readers[o]: the subtasks whose interference set contains o.
+    readers: list[list[int]] = [[] for _ in range(count)]
+    for k, interferers in enumerate(compiled.interferers):
+        for other in interferers:
+            readers[other].append(k)
+    outputs: list = [None] * count
+    own = interfering = None
     notes: list[str] = []
     iterations = 0
     failed = False
     while True:
         iterations += 1
-        new_bounds = ieert_pass(
-            system,
-            bounds,
-            failure_factor=failure_factor,
-            timebase=timebase,
-            blocking=blocking,
-            extra_jitter=extra_jitter,
+        previous_own, previous_interfering = own, interfering
+        own, interfering = _jitters(
+            [bounds[p] if p >= 0 else 0 for p in compiled.predecessor],
+            extra,
+            timebase,
         )
+        if previous_own is None:
+            stale = range(count)
+        else:
+            marked = [a != b for a, b in zip(own, previous_own)]
+            for other in range(count):
+                if interfering[other] != previous_interfering[other]:
+                    for k in readers[other]:
+                        marked[k] = True
+            stale = [k for k in range(count) if marked[k]]
+        for k in stale:
+            outputs[k] = _ieert_bound(
+                compiled,
+                k,
+                own,
+                interfering,
+                own_blocking[k],
+                cutoffs[k],
+                timebase,
+            )
+        new_bounds = list(outputs)
         # The paper's failure cutoff, checked at task level: a task whose
         # EER bound exceeds failure_factor periods is declared unbounded.
-        for task_index, task in enumerate(system.tasks):
-            last = SubtaskId(task_index, task.chain_length - 1)
-            if new_bounds[last] > cutoff_factor * periods[task_index]:
-                new_bounds[last] = math.inf
-        if any(math.isinf(value) for value in new_bounds.values()):
+        for k in lasts:
+            if new_bounds[k] > cutoffs[k]:
+                new_bounds[k] = math.inf
+        if any(math.isinf(value) for value in new_bounds):
             failed = True
             bounds = new_bounds
             notes.append(
@@ -209,9 +284,8 @@ def analyze_sa_ds(
             converged = new_bounds == bounds
         else:
             converged = all(
-                abs(new_bounds[sid] - bounds[sid])
-                <= _CONVERGENCE_RTOL * max(1.0, bounds[sid])
-                for sid in system.subtask_ids
+                abs(new - old) <= _CONVERGENCE_RTOL * max(1.0, old)
+                for new, old in zip(new_bounds, bounds)
             )
         bounds = new_bounds
         if converged:
@@ -223,34 +297,25 @@ def analyze_sa_ds(
             # infinite, at a tiny risk of misclassifying a very slowly
             # converging system.
             failed = True
-            for sid in system.subtask_ids:
-                if system.is_last(sid):
-                    bounds = dict(bounds)
-                    bounds[sid] = math.inf
+            for k in lasts:
+                bounds[k] = math.inf
             notes.append(
                 f"no fixed point within {max_iterations} IEERT passes; "
                 f"bounds still growing -- declared failure"
             )
             break
     task_bounds = []
-    for task_index, task in enumerate(system.tasks):
-        last = SubtaskId(task_index, task.chain_length - 1)
+    first = 0
+    for last in lasts:
         value = bounds[last]
         # IEER bounds grow along a chain, so an infinite bound anywhere on
         # the chain means the task's EER bound is infinite -- even when the
         # iteration stopped before recomputing the last subtask.
-        chain_diverged = any(
-            math.isinf(bounds[SubtaskId(task_index, j)])
-            for j in range(task.chain_length)
-        )
+        chain_diverged = any(math.isinf(v) for v in bounds[first : last + 1])
         task_bounds.append(
-            math.inf
-            if (
-                chain_diverged
-                or value > cutoff_factor * periods[task_index]
-            )
-            else value
+            math.inf if chain_diverged or value > cutoffs[last] else value
         )
+        first = last + 1
     if failed:
         # Bounds of tasks that had not yet exceeded the cutoff when the
         # iteration stopped are not converged; in a failed result only the
@@ -262,7 +327,7 @@ def analyze_sa_ds(
     return AnalysisResult(
         system=system,
         algorithm="SA/DS",
-        subtask_bounds=bounds,
+        subtask_bounds=dict(zip(sids, bounds)),
         task_bounds=tuple(task_bounds),
         iterations=iterations,
         notes=tuple(notes),

