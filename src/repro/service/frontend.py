@@ -892,6 +892,33 @@ class AdmissionFrontend:
 # ---------------------------------------------------------------------------
 
 
+#: Longest request line :func:`serve_frontend` accepts, in bytes
+#: (asyncio's default stream limit).
+MAX_LINE_BYTES = 2**16
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next line; ``b""`` at end of stream, ``None`` for a line over
+    :data:`MAX_LINE_BYTES`.
+
+    An overlong line is discarded through its newline (or to the end of
+    the stream), so the next read starts at the next line.
+    """
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            return None if overlong else exc.partial
+        except asyncio.LimitOverrunError as exc:
+            # Nothing was consumed: drop what is buffered (up to, not
+            # including, the newline if one arrived) and keep reading.
+            overlong = True
+            await reader.readexactly(exc.consumed)
+            continue
+        return None if overlong else line
+
+
 async def serve_frontend(
     frontend: AdmissionFrontend,
     host: str = "127.0.0.1",
@@ -901,10 +928,12 @@ async def serve_frontend(
 
     Each request line is a ``repro-admission-request-v1`` (or bare
     ``repro-system-v1``) document; each response line is the decision
-    document, in request order per connection.  Malformed lines get an
-    ``{"error": ...}`` line instead of killing the connection.  The
-    returned server is started; callers own its lifetime
-    (``server.close()`` / ``await server.wait_closed()``).
+    document, in request order per connection.  A malformed line --
+    bad JSON, not UTF-8, longer than :data:`MAX_LINE_BYTES`, or failing
+    to decode as a request -- gets exactly one ``{"error": ...}`` line
+    and the connection stays open.  The returned server is started;
+    callers own its lifetime (``server.close()`` /
+    ``await server.wait_closed()``).
     """
 
     async def handle(
@@ -912,13 +941,17 @@ async def serve_frontend(
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
-                text = line.decode("utf-8").strip()
-                if not text:
-                    continue
                 try:
+                    if line is None:
+                        raise ValueError(
+                            f"line longer than {MAX_LINE_BYTES} bytes"
+                        )
+                    text = line.decode("utf-8").strip()
+                    if not text:
+                        continue
                     request = request_from_dict(json.loads(text))
                 except (
                     ConfigurationError,
@@ -939,4 +972,6 @@ async def serve_frontend(
         finally:
             writer.close()
 
-    return await asyncio.start_server(handle, host, port)
+    return await asyncio.start_server(
+        handle, host, port, limit=MAX_LINE_BYTES
+    )

@@ -259,12 +259,28 @@ def request_to_dict(request: AdmissionRequest) -> dict[str, Any]:
     }
 
 
+def _flag(data: Mapping[str, Any], name: str, default: bool) -> bool:
+    """A boolean request option: a JSON boolean, never coerced.
+
+    ``bool("false")`` is True, so coercing would let a client that
+    declared, say, unsynchronized clocks as ``"false"`` be certified
+    for PM.
+    """
+    value = data.get(name, default)
+    if not isinstance(value, bool):
+        raise ValueError(
+            f"request field {name!r} must be a JSON boolean, got {value!r}"
+        )
+    return value
+
+
 def request_from_dict(data: Mapping[str, Any]) -> AdmissionRequest:
     """Rebuild a request from :func:`request_to_dict` output.
 
     A bare ``repro-system-v1`` document is accepted too (all options at
     their defaults), so a file of saved systems is already a valid
-    request stream.
+    request stream.  The boolean options must be JSON booleans; any
+    other value raises :class:`ValueError`.
     """
     if data.get("format") == _SYSTEM_FORMAT:
         return AdmissionRequest(system=system_from_dict(dict(data)))
@@ -276,16 +292,16 @@ def request_from_dict(data: Mapping[str, Any]) -> AdmissionRequest:
     return AdmissionRequest(
         system=system_from_dict(data["system"]),
         protocols=tuple(data.get("protocols", ALL_PROTOCOLS)),
-        jitter_sensitive=bool(data.get("jitter_sensitive", False)),
-        wcets_trusted=bool(data.get("wcets_trusted", True)),
-        clock_sync_available=bool(data.get("clock_sync_available", False)),
-        strictly_periodic_arrivals=bool(
-            data.get("strictly_periodic_arrivals", False)
+        jitter_sensitive=_flag(data, "jitter_sensitive", False),
+        wcets_trusted=_flag(data, "wcets_trusted", True),
+        clock_sync_available=_flag(data, "clock_sync_available", False),
+        strictly_periodic_arrivals=_flag(
+            data, "strictly_periodic_arrivals", False
         ),
-        synchronized_clocks=bool(data.get("synchronized_clocks", True)),
+        synchronized_clocks=_flag(data, "synchronized_clocks", True),
         clock_rate_bound=float(data.get("clock_rate_bound", 0.0)),
         clock_jump_bound=float(data.get("clock_jump_bound", 0.0)),
-        shared_resources=bool(data.get("shared_resources", False)),
+        shared_resources=_flag(data, "shared_resources", False),
         sa_ds_max_iterations=int(data.get("sa_ds_max_iterations", 300)),
         request_id=str(data.get("request_id", "")),
         tenant=str(data.get("tenant", "")),
@@ -374,7 +390,7 @@ def load_requests_jsonl(path: str | Path) -> list[AdmissionRequest]:
             continue
         try:
             requests.append(request_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(
                 f"{path}:{number}: bad admission request line: {exc}"
             ) from exc

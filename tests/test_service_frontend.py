@@ -679,3 +679,66 @@ class TestTcpServer:
         ).admitted
         assert "error" in error_doc
         assert second_doc["key"] == decision_doc["key"]
+
+    @staticmethod
+    def _exchange(lines: list[bytes]) -> list[dict]:
+        """Send ``lines`` on one connection, then read replies to EOF."""
+
+        async def run():
+            async with AdmissionFrontend(FrontendConfig(shards=2)) as fe:
+                server = await serve_frontend(fe, port=0)
+                port = server.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                for line in lines:
+                    writer.write(line)
+                    await writer.drain()
+                writer.write_eof()
+                replies = await asyncio.wait_for(reader.read(), 60)
+                writer.close()
+                server.close()
+                await server.wait_closed()
+                return [json.loads(r) for r in replies.splitlines()]
+
+        return asyncio.run(run())
+
+    @staticmethod
+    def _line(request: AdmissionRequest) -> bytes:
+        return (json.dumps(request_to_dict(request)) + "\n").encode()
+
+    def test_non_utf8_line_answered_and_connection_kept(self):
+        replies = self._exchange(
+            [b"\xff\xfe not utf-8\n", self._line(_request(1, "after"))]
+        )
+        assert len(replies) == 2
+        assert "error" in replies[0]
+        assert replies[1]["request_id"] == "after"
+
+    def test_oversized_line_answered_once_and_stream_realigned(self):
+        # Well past the limit: the line spans several reads, so both the
+        # "no newline yet" and the "newline beyond the limit" overruns
+        # are discarded before the next line is read.
+        oversized = b"x" * (3 * frontend_module.MAX_LINE_BYTES) + b"\n"
+        replies = self._exchange(
+            [oversized, self._line(_request(1, "after"))]
+        )
+        assert len(replies) == 2
+        assert "longer than" in replies[0]["error"]
+        assert replies[1]["request_id"] == "after"
+
+    def test_non_boolean_flag_gets_error_not_decision(self):
+        # "false" would coerce to True and let unsynchronized clocks be
+        # certified for PM.
+        document = request_to_dict(_request(1, "strict"))
+        document["synchronized_clocks"] = "false"
+        replies = self._exchange(
+            [
+                (json.dumps(document) + "\n").encode(),
+                self._line(_request(1, "after")),
+            ]
+        )
+        assert len(replies) == 2
+        assert "synchronized_clocks" in replies[0]["error"]
+        assert "admitted" not in replies[0]
+        assert replies[1]["request_id"] == "after"

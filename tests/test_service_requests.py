@@ -149,6 +149,40 @@ class TestClockFields:
                 AdmissionRequest(system=small_system, clock_jump_bound=bad)
 
 
+class TestStrictFlags:
+    FLAGS = (
+        "jitter_sensitive",
+        "wcets_trusted",
+        "clock_sync_available",
+        "strictly_periodic_arrivals",
+        "synchronized_clocks",
+        "shared_resources",
+    )
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_non_boolean_flag_rejected(self, small_system, flag, value):
+        document = request_to_dict(AdmissionRequest(system=small_system))
+        document[flag] = value
+        with pytest.raises(ValueError, match=flag):
+            request_from_dict(document)
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_boolean_flag_decoded_as_given(self, small_system, flag):
+        for value in (True, False):
+            document = request_to_dict(AdmissionRequest(system=small_system))
+            document[flag] = value
+            assert getattr(request_from_dict(document), flag) is value
+
+    def test_jsonl_loader_reports_the_line(self, tmp_path, small_system):
+        document = request_to_dict(AdmissionRequest(system=small_system))
+        document["synchronized_clocks"] = "false"
+        path = tmp_path / "requests.jsonl"
+        path.write_text(json.dumps(document) + "\n")
+        with pytest.raises(ConfigurationError, match=":1: .*synchronized"):
+            load_requests_jsonl(path)
+
+
 class TestValidation:
     def test_sa_ds_iteration_budget_validated(self, small_system):
         with pytest.raises(ConfigurationError):
