@@ -185,9 +185,11 @@ def _compute_pooled(
     every job stranded on it -- in flight or mid-submission -- is
     resubmitted at its *current* attempt count: a pool break is the
     pool's failure, not the job's, so it never consumes retry budget.
-    Only a job present at more than ``max_retries + 1`` consecutive
-    breaks is treated as the likely culprit (it keeps killing its
-    worker) and failed closed.
+    A job that has ridden a break down is a suspect and from then on
+    runs alone, so any further break is its own.  Only a job present
+    at more than ``max_retries + 1`` breaks is treated as the culprit
+    (it keeps killing its worker) and failed closed; an innocent job
+    stranded next to it is charged one break at most.
     """
     outcomes: dict[str, tuple[AdmissionDecision, float, bool]] = {}
     #: (key, attempt, earliest resubmission instant) awaiting a slot.
@@ -223,15 +225,19 @@ def _compute_pooled(
             #: jobs whose future died with the pool, not on their own.
             stranded: list[tuple[str, int]] = []
 
-            # Keep the live part of the pool full; respect backoff.
+            # Keep the live part of the pool full; respect backoff.  A
+            # suspect (see above) waits for an empty pool and then runs
+            # alone.
             window = max(1, worker_count - abandoned)
             now = time.monotonic()
             backing_off: deque[tuple[str, int, float]] = deque()
-            while queue and len(in_flight) < window:
+            solo = any(breaks.get(k) for k, _a, _s in in_flight.values())
+            while queue and len(in_flight) < window and not solo:
                 key, attempt, not_before = queue.popleft()
-                if now < not_before:
+                if now < not_before or (breaks.get(key) and in_flight):
                     backing_off.append((key, attempt, not_before))
                     continue
+                solo = bool(breaks.get(key))
                 try:
                     future = pool.submit(_compute_job, (key, jobs[key]))
                 except BrokenProcessPool:
@@ -248,11 +254,16 @@ def _compute_pooled(
                 # expiry -- whichever comes first.
                 now = time.monotonic()
                 timeout = _next_wakeup(
-                    queue,
+                    # Suspects cannot start until the pool drains.
+                    deque(
+                        item
+                        for item in queue
+                        if not (breaks.get(item[0]) and in_flight)
+                    ),
                     in_flight,
                     job_timeout,
                     now,
-                    capacity=window - len(in_flight),
+                    capacity=0 if solo else window - len(in_flight),
                 )
                 if in_flight:
                     done, _ = wait(
