@@ -173,18 +173,18 @@ class CompiledSystem:
     """A system as index arrays, in one timebase.
 
     Subtask ``k`` is ``sids[k]`` (``System.subtask_ids`` order).
-    ``period[k]`` and ``wcet[k]`` are converted once; ``interferers[k]``
-    lists the indices of ``H_k`` in ``System.interference_set`` order;
-    ``predecessor[k]`` is the previous subtask on the chain (``-1`` for a
-    first subtask); ``is_last[k]`` flags chain ends; ``terms[k]`` holds
-    the jitter-independent part of subtask ``k``'s analysis.  Built once
-    per analysis call and dropped with it.
+    ``period[k]`` is converted once (``terms[k]`` also holds the
+    execution time); ``interferers[k]`` lists the indices of ``H_k`` in
+    ``System.interference_set`` order; ``predecessor[k]`` is the previous
+    subtask on the chain (``-1`` for a first subtask); ``is_last[k]``
+    flags chain ends; ``terms[k]`` holds the jitter-independent part of
+    subtask ``k``'s analysis.  Built once per analysis call and dropped
+    with it.
     """
 
     __slots__ = (
         "sids",
         "period",
-        "wcet",
         "interferers",
         "predecessor",
         "is_last",
@@ -204,7 +204,7 @@ class CompiledSystem:
             period.append(convert(task.period))
             self.predecessor.append(k - 1 if sid.subtask_index else -1)
             self.is_last.append(sid.subtask_index == task.chain_length - 1)
-        self.wcet = wcet = [convert(stage.execution_time) for stage in stages]
+        wcet = [convert(stage.execution_time) for stage in stages]
         on_processor: dict[str, list[int]] = {}
         for k, stage in enumerate(stages):
             on_processor.setdefault(stage.processor, []).append(k)
@@ -352,7 +352,9 @@ def busy_period_kernel(
                 own_jitter, blocking = up(own_jitter), up(blocking)
                 if abort_above is not None:
                     abort_above = up(abort_above)
-                out = lambda v: timebase.convert(Fraction(v, scale))  # noqa: E731
+
+                def out(value):
+                    return timebase.convert(Fraction(value, scale))
 
     # Analytic caps: a demand W(t) = base + sum ceil((t + J)/p) e obeys
     # W(t) <= base + U' t + sum (J/p + 1) e with U' the terms' utilization,
