@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from repro.core.analysis.results import AnalysisResult
 from repro.errors import ConfigurationError
@@ -102,41 +102,56 @@ def system_to_dict(system: System) -> dict[str, Any]:
 
 def system_from_dict(data: dict[str, Any]) -> System:
     """Rebuild a system from :func:`system_to_dict` output."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"a system must be a JSON object, got {type(data).__name__}"
+        )
     if data.get("format") != _FORMAT:
         raise ConfigurationError(
             f"not a {_FORMAT} document (format={data.get('format')!r})"
         )
     tasks = []
     for entry in data["tasks"]:
+        period = float(entry["period"])
+        phase = float(entry.get("phase", 0.0))
+        deadline = entry.get("deadline")
+        if deadline is not None:
+            deadline = float(deadline)
+        name = entry.get("name", "")
+        subtasks = []
+        for stage in entry["subtasks"]:
+            execution_time = float(stage["execution_time"])
+            processor = str(stage["processor"])
+            priority = int(stage.get("priority", 0))
+            stage_name = stage.get("name", "")
+            sections = ()
+            if "critical_sections" in stage:
+                sections = tuple(
+                    [
+                        CriticalSection(
+                            resource=str(section["resource"]),
+                            start=float(section["start"]),
+                            duration=float(section["duration"]),
+                        )
+                        for section in stage["critical_sections"]
+                    ]
+                )
+            subtasks.append(
+                Subtask(
+                    execution_time=execution_time,
+                    processor=processor,
+                    priority=priority,
+                    name=stage_name,
+                    critical_sections=sections,
+                )
+            )
         tasks.append(
             Task(
-                period=float(entry["period"]),
-                phase=float(entry.get("phase", 0.0)),
-                deadline=(
-                    None
-                    if entry.get("deadline") is None
-                    else float(entry["deadline"])
-                ),
-                name=entry.get("name", ""),
-                subtasks=tuple(
-                    Subtask(
-                        execution_time=float(stage["execution_time"]),
-                        processor=str(stage["processor"]),
-                        priority=int(stage.get("priority", 0)),
-                        name=stage.get("name", ""),
-                        critical_sections=tuple(
-                            CriticalSection(
-                                resource=str(section["resource"]),
-                                start=float(section["start"]),
-                                duration=float(section["duration"]),
-                            )
-                            for section in stage.get(
-                                "critical_sections", ()
-                            )
-                        ),
-                    )
-                    for stage in entry["subtasks"]
-                ),
+                period=period,
+                phase=phase,
+                deadline=deadline,
+                name=name,
+                subtasks=tuple(subtasks),
             )
         )
     return System(tuple(tasks), name=data.get("name", "system"))

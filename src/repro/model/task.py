@@ -180,6 +180,8 @@ class Subtask:
             raise ModelError(
                 f"subtask priority must be an int, got {self.priority!r}"
             )
+        if self.critical_sections == ():
+            return  # the common resource-free stage: nothing to order
         if not isinstance(self.critical_sections, tuple):
             object.__setattr__(
                 self, "critical_sections", tuple(self.critical_sections)

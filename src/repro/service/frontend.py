@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.service.backends import CACHE_BACKENDS, make_cache
 from repro.service.batch import _compute_job, _degraded_decision
 from repro.service.cache import SingleFlight
@@ -55,6 +55,7 @@ from repro.service.requests import (
     AdmissionDecision,
     AdmissionRequest,
     decision_to_dict,
+    decodes_verbatim,
     request_from_dict,
 )
 from repro.service.sharding import ShardRing
@@ -589,6 +590,40 @@ class AdmissionFrontend:
                 return candidate
         return shard
 
+    def _require_started(self) -> None:
+        if not self._started:
+            raise ConfigurationError(
+                "frontend not started (use 'async with' or await start())"
+            )
+
+    def _quota_shed(self, request: AdmissionRequest) -> AdmissionDecision:
+        self.metrics.record_shed()
+        return _shed_decision(
+            request,
+            "",
+            f"tenant {request.tenant or 'default'!r} quota "
+            "exceeded (429, retry later)",
+        )
+
+    def _serve_cached(
+        self,
+        shard: _Shard,
+        cached: AdmissionDecision,
+        request_id: str,
+        started: float,
+    ) -> AdmissionDecision:
+        """The cache-hit branch of every admission path."""
+        if shard.breaker is not None:
+            # A cache hit never touches the executor: return any
+            # half-open probe permit unspent.
+            shard.breaker.record_void()
+        latency = time.perf_counter() - started
+        for sink in (self.metrics, shard.metrics):
+            sink.record(
+                admitted=cached.admitted, cache_hit=True, latency=latency
+            )
+        return replace(cached, request_id=request_id)
+
     async def admit(
         self, request: AdmissionRequest
     ) -> AdmissionDecision:
@@ -597,36 +632,68 @@ class AdmissionFrontend:
         Always returns a decision: a real verdict, a degraded REJECT
         (ladder exhausted), or an explicit shed (quota or queue full).
         """
-        if not self._started:
-            raise ConfigurationError(
-                "frontend not started (use 'async with' or await start())"
-            )
+        self._require_started()
         started = time.perf_counter()
         if not self._take_token(request.tenant):
-            self.metrics.record_shed()
-            return _shed_decision(
-                request,
-                "",
-                f"tenant {request.tenant or 'default'!r} quota "
-                "exceeded (429, retry later)",
-            )
+            return self._quota_shed(request)
         key = request_key(request)
         shard = self._route(key)
         if self.cache is not None:
             cached = self.cache.get(key)
             if cached is not None:
-                if shard.breaker is not None:
-                    # A cache hit never touches the executor: return
-                    # any half-open probe permit unspent.
-                    shard.breaker.record_void()
-                latency = time.perf_counter() - started
-                for sink in (self.metrics, shard.metrics):
-                    sink.record(
-                        admitted=cached.admitted,
-                        cache_hit=True,
-                        latency=latency,
-                    )
-                return replace(cached, request_id=request.request_id)
+                return self._serve_cached(
+                    shard, cached, request.request_id, started
+                )
+        return await self._enqueue(shard, request, key, started)
+
+    def cached_key(self, document) -> str | None:
+        """The key of a decoded wire document whose decision is cached.
+
+        ``None`` when the cache does not hold it, or when only the
+        decoder can judge the document (see
+        :func:`~repro.service.requests.decodes_verbatim`).  Pure: no
+        counter, recency or quota moves.
+        """
+        if self.cache is None or not decodes_verbatim(document):
+            return None
+        try:
+            key = request_key(document)
+        except ValueError:  # a non-boolean flag or a NaN: decode says why
+            return None
+        return key if key in self.cache else None
+
+    async def admit_cached(
+        self, document, key: str
+    ) -> AdmissionDecision:
+        """Decide a wire document :meth:`cached_key` found under ``key``.
+
+        The same bookkeeping as :meth:`admit` on a cache hit -- one
+        token, one counted lookup, the shard's breaker and metrics --
+        without building the request.  The model is decoded only for a
+        quota shed, or when the entry left the cache in between.
+        """
+        self._require_started()
+        started = time.perf_counter()
+        if not self._take_token(str(document.get("tenant", ""))):
+            return self._quota_shed(request_from_dict(document))
+        shard = self._route(key)
+        cached = self.cache.get(key)
+        if cached is not None:
+            return self._serve_cached(
+                shard, cached, str(document.get("request_id", "")), started
+            )
+        return await self._enqueue(
+            shard, request_from_dict(document), key, started
+        )
+
+    async def _enqueue(
+        self,
+        shard: _Shard,
+        request: AdmissionRequest,
+        key: str,
+        started: float,
+    ) -> AdmissionDecision:
+        """Queue a miss on ``shard``, or shed it when the queue is full."""
         future: asyncio.Future = (
             asyncio.get_running_loop().create_future()
         )
@@ -928,8 +995,11 @@ async def serve_frontend(
 
     Each request line is a ``repro-admission-request-v1`` (or bare
     ``repro-system-v1``) document; each response line is the decision
-    document, in request order per connection.  A malformed line --
-    bad JSON, not UTF-8, longer than :data:`MAX_LINE_BYTES`, or failing
+    document, in request order per connection.  A line whose decision
+    is cached is answered from its JSON document without building the
+    model (:meth:`AdmissionFrontend.cached_key`); any other line is
+    decoded and admitted.  A malformed line -- bad JSON, nested too deep
+    to parse, not UTF-8, longer than :data:`MAX_LINE_BYTES`, or failing
     to decode as a request -- gets exactly one ``{"error": ...}`` line
     and the connection stays open.  The returned server is started;
     callers own its lifetime (``server.close()`` /
@@ -952,16 +1022,25 @@ async def serve_frontend(
                     text = line.decode("utf-8").strip()
                     if not text:
                         continue
-                    request = request_from_dict(json.loads(text))
+                    document = json.loads(text)
+                    # An exact repeat is answered from the document; any
+                    # other line is decoded into the model first.
+                    key = frontend.cached_key(document)
+                    if key is None:
+                        request = request_from_dict(document)
                 except (
-                    ConfigurationError,
+                    ReproError,
                     ValueError,
                     KeyError,
                     TypeError,
+                    RecursionError,
                 ) as exc:
                     payload: dict = {"error": f"bad request line: {exc}"}
                 else:
-                    decision = await frontend.admit(request)
+                    if key is None:
+                        decision = await frontend.admit(request)
+                    else:
+                        decision = await frontend.admit_cached(document, key)
                     payload = decision_to_dict(decision)
                 writer.write(
                     (json.dumps(payload, sort_keys=True) + "\n").encode(

@@ -4,12 +4,19 @@ The decision cache must key on request *content*: the same system and
 options must map to the same key in every process, on every run, on
 every machine.  Python's built-in ``hash()`` offers none of that (it is
 salted per process for strings and identity-ish for many objects), so
-keys here are SHA-256 digests of a canonical JSON encoding:
+keys here are SHA-256 digests of a canonical JSON encoding of the
+request *document* (the :func:`~repro.service.requests.request_to_dict`
+shape):
 
-* systems serialize through :func:`repro.io.system_to_dict`, which is
-  lossless and positional (task order is significant in the model, so
-  it is significant in the key);
-* the option fields are emitted under fixed names;
+* a request renders through ``request_to_dict``, whose system part is
+  :func:`repro.io.system_to_dict` -- lossless and positional (task
+  order is significant in the model, so it is significant in the key);
+  a document already decoded from JSON is hashed as it stands, so an
+  exact repeat on the wire is keyed without building the model (see
+  ``docs/service.md``, "Wire hit path");
+* the option fields are emitted under fixed names, absent ones at the
+  request's defaults, the boolean flags checked like the decoder
+  checks them;
 * ``json.dumps`` runs with sorted keys and fixed separators, and floats
   serialize via ``repr``, which is exact for IEEE doubles -- two equal
   systems built independently hash equally, two systems differing in
@@ -32,11 +39,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from typing import Any, Mapping
 
-from repro.io import system_to_dict
 from repro.model.system import System
-from repro.service.requests import AdmissionRequest
+from repro.service.requests import (
+    OPTION_DEFAULTS,
+    AdmissionRequest,
+    request_flags,
+    request_to_dict,
+)
 from repro.timebase import canonical_number
 
 __all__ = [
@@ -62,26 +73,40 @@ KEY_FORMAT = "repro-admission-key-v2"
 KEY_FORMAT_V3 = "repro-admission-key-v3"
 
 
-def canonical_payload(request: AdmissionRequest) -> dict[str, Any]:
-    """The exact dictionary that gets hashed (useful for debugging)."""
-    resourceful = (
-        request.shared_resources or request.system.has_critical_sections
+#: Request options that are caller metadata, not decision content.
+_METADATA = ("request_id", "tenant")
+
+
+def canonical_payload(
+    request: AdmissionRequest | Mapping[str, Any],
+) -> dict[str, Any]:
+    """The exact dictionary that gets hashed (useful for debugging).
+
+    ``request`` is an :class:`AdmissionRequest` or a decoded request
+    document.  Flags that are not JSON booleans raise the decoder's
+    :class:`ValueError`; a document without a ``system`` raises
+    :class:`KeyError`.
+    """
+    document = (
+        request_to_dict(request)
+        if isinstance(request, AdmissionRequest)
+        else request
     )
-    payload: dict[str, Any] = {
-        "format": KEY_FORMAT_V3 if resourceful else KEY_FORMAT,
-        "system": system_to_dict(request.system),
-        "protocols": list(request.protocols),
-        "jitter_sensitive": request.jitter_sensitive,
-        "wcets_trusted": request.wcets_trusted,
-        "clock_sync_available": request.clock_sync_available,
-        "strictly_periodic_arrivals": request.strictly_periodic_arrivals,
-        "synchronized_clocks": request.synchronized_clocks,
-        "clock_rate_bound": request.clock_rate_bound,
-        "clock_jump_bound": request.clock_jump_bound,
-        "sa_ds_max_iterations": request.sa_ds_max_iterations,
+    payload = {
+        name: document.get(name, default)
+        for name, default in OPTION_DEFAULTS.items()
+        if name not in _METADATA
     }
-    if resourceful:
-        payload["shared_resources"] = request.shared_resources
+    payload.update(request_flags(document))
+    # A request normalizes ``shared_resources`` to True whenever its
+    # system declares critical sections, so the checked flag alone
+    # decides the format.
+    if payload["shared_resources"]:
+        payload["format"] = KEY_FORMAT_V3
+    else:
+        payload["format"] = KEY_FORMAT
+        del payload["shared_resources"]
+    payload["system"] = document["system"]
     return payload
 
 
@@ -95,8 +120,13 @@ def _canonical_default(value: Any) -> Any:
     return canonical
 
 
-def request_key(request: AdmissionRequest) -> str:
-    """The SHA-256 hex digest identifying a request's content."""
+def request_key(request: AdmissionRequest | Mapping[str, Any]) -> str:
+    """The SHA-256 hex digest identifying a request's content.
+
+    Takes an :class:`AdmissionRequest` or a decoded request document;
+    a request and its ``request_to_dict`` document, round-tripped
+    through JSON or not, share one key.
+    """
     encoded = json.dumps(
         canonical_payload(request),
         sort_keys=True,

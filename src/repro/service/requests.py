@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.io import (
     decode_bound,
     encode_bound,
@@ -36,10 +36,13 @@ from repro.model.system import System
 
 __all__ = [
     "ALL_PROTOCOLS",
+    "OPTION_DEFAULTS",
     "AdmissionRequest",
     "AdmissionDecision",
     "request_to_dict",
     "request_from_dict",
+    "request_flags",
+    "decodes_verbatim",
     "decision_to_dict",
     "decision_from_dict",
     "load_requests_jsonl",
@@ -119,7 +122,12 @@ class AdmissionRequest:
     tenant: str = ""
 
     def __post_init__(self) -> None:
-        canonical = tuple(p.upper() for p in self.protocols)
+        names = tuple(self.protocols)
+        if not all(isinstance(p, str) for p in names):
+            raise ConfigurationError(
+                f"protocol names must be strings, got {list(names)!r}"
+            )
+        canonical = tuple(p.upper() for p in names)
         unknown = [p for p in canonical if p not in ALL_PROTOCOLS]
         if unknown:
             raise ConfigurationError(
@@ -259,6 +267,25 @@ def request_to_dict(request: AdmissionRequest) -> dict[str, Any]:
     }
 
 
+#: The boolean request options, decoded and keyed only as JSON booleans.
+_FLAGS: tuple[str, ...] = (
+    "jitter_sensitive",
+    "wcets_trusted",
+    "clock_sync_available",
+    "strictly_periodic_arrivals",
+    "synchronized_clocks",
+    "shared_resources",
+)
+
+#: Every request option with the value an omitted one decodes to: the
+#: request's own defaults.
+OPTION_DEFAULTS: dict[str, Any] = {
+    f.name: f.default
+    for f in fields(AdmissionRequest)
+    if f.default is not MISSING
+}
+
+
 def _flag(data: Mapping[str, Any], name: str, default: bool) -> bool:
     """A boolean request option: a JSON boolean, never coerced.
 
@@ -274,14 +301,25 @@ def _flag(data: Mapping[str, Any], name: str, default: bool) -> bool:
     return value
 
 
+def request_flags(data: Mapping[str, Any]) -> dict[str, bool]:
+    """The six boolean options of a request document, each checked by
+    :func:`_flag` (absent ones at their defaults)."""
+    return {name: _flag(data, name, OPTION_DEFAULTS[name]) for name in _FLAGS}
+
+
 def request_from_dict(data: Mapping[str, Any]) -> AdmissionRequest:
     """Rebuild a request from :func:`request_to_dict` output.
 
     A bare ``repro-system-v1`` document is accepted too (all options at
     their defaults), so a file of saved systems is already a valid
     request stream.  The boolean options must be JSON booleans; any
-    other value raises :class:`ValueError`.
+    other value raises :class:`ValueError`.  A document that is not a
+    JSON object raises :class:`~repro.errors.ConfigurationError`.
     """
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"a request must be a JSON object, got {type(data).__name__}"
+        )
     if data.get("format") == _SYSTEM_FORMAT:
         return AdmissionRequest(system=system_from_dict(dict(data)))
     if data.get("format") != _REQUEST_FORMAT:
@@ -289,23 +327,67 @@ def request_from_dict(data: Mapping[str, Any]) -> AdmissionRequest:
             f"not a {_REQUEST_FORMAT} document "
             f"(format={data.get('format')!r})"
         )
+    system = system_from_dict(data["system"])
+
+    def option(name: str) -> Any:
+        return data.get(name, OPTION_DEFAULTS[name])
+
     return AdmissionRequest(
-        system=system_from_dict(data["system"]),
-        protocols=tuple(data.get("protocols", ALL_PROTOCOLS)),
-        jitter_sensitive=_flag(data, "jitter_sensitive", False),
-        wcets_trusted=_flag(data, "wcets_trusted", True),
-        clock_sync_available=_flag(data, "clock_sync_available", False),
-        strictly_periodic_arrivals=_flag(
-            data, "strictly_periodic_arrivals", False
-        ),
-        synchronized_clocks=_flag(data, "synchronized_clocks", True),
-        clock_rate_bound=float(data.get("clock_rate_bound", 0.0)),
-        clock_jump_bound=float(data.get("clock_jump_bound", 0.0)),
-        shared_resources=_flag(data, "shared_resources", False),
-        sa_ds_max_iterations=int(data.get("sa_ds_max_iterations", 300)),
-        request_id=str(data.get("request_id", "")),
-        tenant=str(data.get("tenant", "")),
+        system=system,
+        protocols=tuple(option("protocols")),
+        clock_rate_bound=float(option("clock_rate_bound")),
+        clock_jump_bound=float(option("clock_jump_bound")),
+        sa_ds_max_iterations=int(option("sa_ds_max_iterations")),
+        request_id=str(option("request_id")),
+        tenant=str(option("tenant")),
+        **request_flags(data),
     )
+
+
+def decodes_verbatim(data: Any) -> bool:
+    """Whether :func:`request_from_dict` keeps every number of ``data``.
+
+    The decoder coerces: times and clock bounds through ``float()``,
+    priorities and the iteration budget through ``int()``.  So the
+    document that spells a period ``10`` decodes to the request that
+    spells it ``10.0``, while a request built in code may hold the
+    ``10`` itself, or an exact ``Fraction`` (which keys as ``"n/d"``).
+    True when ``data`` is a request document whose numbers already have
+    the decoder's types -- then its content key
+    (:func:`repro.service.hashing.request_key`) can only be the key of
+    the request it decodes to.  False for every other value, including
+    documents that would not decode at all.
+    """
+    try:
+        if data.get("format") != _REQUEST_FORMAT or not (
+            type(data.get("clock_rate_bound", 0.0)) is float
+            and type(data.get("clock_jump_bound", 0.0)) is float
+            and type(data.get("sa_ds_max_iterations", 300)) is int
+        ):
+            return False
+        for task in data["system"]["tasks"]:
+            deadline = task.get("deadline")
+            if not (
+                type(task["period"]) is float
+                and type(task.get("phase", 0.0)) is float
+                and (deadline is None or type(deadline) is float)
+            ):
+                return False
+            for stage in task["subtasks"]:
+                if not (
+                    type(stage["execution_time"]) is float
+                    and type(stage.get("priority", 0)) is int
+                ):
+                    return False
+                for section in stage.get("critical_sections", ()):
+                    if not (
+                        type(section["start"]) is float
+                        and type(section["duration"]) is float
+                    ):
+                        return False
+    except (AttributeError, KeyError, TypeError):
+        return False
+    return True
 
 
 def decision_to_dict(decision: AdmissionDecision) -> dict[str, Any]:
@@ -390,7 +472,7 @@ def load_requests_jsonl(path: str | Path) -> list[AdmissionRequest]:
             continue
         try:
             requests.append(request_from_dict(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ReproError, ValueError, KeyError, TypeError) as exc:
             raise ConfigurationError(
                 f"{path}:{number}: bad admission request line: {exc}"
             ) from exc

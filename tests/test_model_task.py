@@ -160,3 +160,26 @@ class TestTask:
         widened = task.with_subtasks(self._chain(1.0, 2.0))
         assert widened.chain_length == 2
         assert task.chain_length == 1
+
+
+class TestSubtaskSections:
+    """The resource-free fast path keeps every section check."""
+
+    def test_empty_tuple_is_the_fast_path(self):
+        assert Subtask(1.0, "P1", critical_sections=()).critical_sections == ()
+
+    def test_empty_list_normalized(self):
+        assert Subtask(1.0, "P1", critical_sections=[]).critical_sections == ()
+
+    @pytest.mark.parametrize("value", [None, 0])
+    def test_non_iterable_rejected(self, value):
+        with pytest.raises(TypeError):
+            Subtask(1.0, "P1", critical_sections=value)
+
+    def test_scalar_checks_run_first(self):
+        with pytest.raises(ModelError):
+            Subtask(-1.0, "P1", critical_sections=())
+        with pytest.raises(ModelError):
+            Subtask(1.0, "", critical_sections=())
+        with pytest.raises(ModelError):
+            Subtask(1.0, "P1", priority=1.5, critical_sections=())

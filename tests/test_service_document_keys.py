@@ -1,0 +1,602 @@
+"""Keying request documents: completeness, soundness, wire bookkeeping.
+
+The frontend's wire path keys the decoded JSON document and looks the
+decision up before it builds a model (``docs/service.md``, "Wire hit
+path").  That is only correct if
+
+* **completeness** -- every request and its ``request_to_dict``
+  document, round-tripped through JSON, share one key, so exact
+  repeats hit;
+* **soundness** -- a document is served a cached decision only when it
+  decodes to the very request that decision was computed for.  The
+  live oracle below warms a real server, sends canonical documents and
+  their mutations, and checks every reply against the decoder:
+  an error line iff ``request_from_dict`` raises, otherwise exactly
+  ``compute_decision(request_from_dict(document))``.
+
+Run under ``HYPOTHESIS_PROFILE=ci`` in CI's fuzz job.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import copy
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.model.system import System
+from repro.model.task import CriticalSection, Subtask, Task
+from repro.service.engine import compute_decision
+from repro.service.frontend import (
+    AdmissionFrontend,
+    FrontendConfig,
+    TenantQuota,
+    serve_frontend,
+)
+from repro.service.hashing import request_key
+from repro.service.requests import (
+    ALL_PROTOCOLS,
+    AdmissionRequest,
+    decision_to_dict,
+    decodes_verbatim,
+    request_from_dict,
+    request_to_dict,
+)
+from repro.workload.examples import example_two
+
+# ---------------------------------------------------------------------------
+# Completeness: a request and its document share one key
+# ---------------------------------------------------------------------------
+
+_times = st.floats(
+    min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def _stages(draw, exact: bool):
+    if exact:
+        e = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 1000)))
+    else:
+        e = draw(_times)
+    sections = []
+    if draw(st.booleans()):
+        # Offsets are fractions of e well inside [0, e], so the section
+        # fits even after float rounding.
+        start = e * draw(st.sampled_from([0, Fraction(1, 8), Fraction(2, 5)]))
+        duration = e * draw(st.sampled_from([Fraction(1, 10), Fraction(1, 2)]))
+        if not exact:
+            start, duration = float(start), float(duration)
+        sections.append(
+            CriticalSection(
+                draw(st.sampled_from(["R1", "R2"])), start, duration
+            )
+        )
+    return Subtask(
+        e,
+        draw(st.sampled_from(["P1", "P2", "P3"])),
+        priority=draw(st.integers(0, 9)),
+        name=draw(st.text(max_size=4)),
+        critical_sections=tuple(sections),
+    )
+
+
+@st.composite
+def _systems(draw, exact: bool = False):
+    tasks = []
+    for _ in range(draw(st.integers(1, 3))):
+        if exact:
+            period = Fraction(
+                draw(st.integers(1, 10**6)), draw(st.integers(1, 50))
+            )
+            phase = Fraction(
+                draw(st.integers(0, 100)), draw(st.integers(1, 7))
+            )
+        else:
+            period = draw(_times)
+            phase = draw(st.sampled_from([0.0, -0.0, 0.5, 1e-9, 123.25]))
+        deadline = draw(st.one_of(st.none(), st.just(period)))
+        tasks.append(
+            Task(
+                period=period,
+                phase=phase,
+                deadline=deadline,
+                name=draw(st.text(max_size=4)),
+                subtasks=tuple(
+                    draw(_stages(exact))
+                    for _ in range(draw(st.integers(1, 3)))
+                ),
+            )
+        )
+    return System(tuple(tasks), name=draw(st.text(max_size=6)))
+
+
+@st.composite
+def _requests(draw, exact: bool = False):
+    return AdmissionRequest(
+        system=draw(_systems(exact)),
+        protocols=tuple(
+            draw(st.sets(st.sampled_from(ALL_PROTOCOLS), min_size=1))
+        ),
+        jitter_sensitive=draw(st.booleans()),
+        wcets_trusted=draw(st.booleans()),
+        clock_sync_available=draw(st.booleans()),
+        strictly_periodic_arrivals=draw(st.booleans()),
+        synchronized_clocks=draw(st.booleans()),
+        clock_rate_bound=draw(st.sampled_from([0.0, 1e-4, 0.5])),
+        clock_jump_bound=draw(st.sampled_from([0.0, 0.25, 1e3])),
+        shared_resources=draw(st.booleans()),
+        sa_ds_max_iterations=draw(st.integers(1, 1000)),
+        request_id=draw(st.text(max_size=5)),
+        tenant=draw(st.text(max_size=5)),
+    )
+
+
+@settings(max_examples=100)
+@given(request=_requests())
+def test_wire_document_keys_like_its_request(request):
+    document = json.loads(json.dumps(request_to_dict(request)))
+    assert request_key(document) == request_key(request)
+
+
+@settings(max_examples=100)
+@given(request=_requests())
+def test_wire_document_decodes_to_its_request(request):
+    """The other half of a document hit: it decodes to that request."""
+    document = json.loads(json.dumps(request_to_dict(request)))
+    assert decodes_verbatim(document)
+    assert request_from_dict(document) == request
+
+
+@settings(max_examples=50)
+@given(request=_requests(exact=True))
+def test_exact_request_document_keys_like_its_request(request):
+    # Fractions are not JSON: the in-memory document keys through the
+    # same canonical tokens as the request.
+    assert request_key(request_to_dict(request)) == request_key(request)
+    assert not decodes_verbatim(request_to_dict(request))
+
+
+def _document(request: AdmissionRequest) -> dict:
+    return json.loads(json.dumps(request_to_dict(request)))
+
+
+class TestDocumentKey:
+    def test_omitted_options_key_at_their_defaults(self):
+        document = _document(AdmissionRequest(system=example_two()))
+        full = request_key(document)
+        for name in list(document):
+            if name in ("format", "system"):
+                continue
+            trimmed = dict(document)
+            del trimmed[name]
+            assert request_key(trimmed) == full, name
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_bad_flag_raises_the_decoders_error(self, value):
+        document = _document(AdmissionRequest(system=example_two()))
+        document["wcets_trusted"] = value
+        with pytest.raises(ValueError, match="wcets_trusted"):
+            request_key(document)
+        with pytest.raises(ValueError, match="wcets_trusted"):
+            request_from_dict(document)
+
+    def test_declared_resources_key_as_v3(self):
+        plain = AdmissionRequest(system=example_two())
+        declared = AdmissionRequest(
+            system=example_two(), shared_resources=True
+        )
+        assert request_key(_document(declared)) == request_key(declared)
+        assert request_key(declared) != request_key(plain)
+
+
+class TestDecodesVerbatim:
+    def test_canonical_document(self):
+        assert decodes_verbatim(
+            _document(AdmissionRequest(system=example_two()))
+        )
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d["system"]["tasks"][0].update(period=10),
+            lambda d: d["system"]["tasks"][0].update(phase=0),
+            lambda d: d["system"]["tasks"][0].update(deadline=7),
+            lambda d: d["system"]["tasks"][0].update(period="3/2"),
+            lambda d: d["system"]["tasks"][0]["subtasks"][0].update(
+                execution_time=1
+            ),
+            lambda d: d["system"]["tasks"][0]["subtasks"][0].update(
+                priority=True
+            ),
+            lambda d: d["system"]["tasks"][0]["subtasks"][0].update(
+                priority=1.0
+            ),
+            lambda d: d["system"]["tasks"][0]["subtasks"][0].update(
+                critical_sections=[
+                    {"resource": "R1", "start": 0, "duration": 0.5}
+                ]
+            ),
+            lambda d: d.update(clock_rate_bound=0),
+            lambda d: d.update(clock_jump_bound="1/4"),
+            lambda d: d.update(sa_ds_max_iterations=300.0),
+            lambda d: d.update(system=5),
+            lambda d: d["system"].update(tasks=[5]),
+            lambda d: d.update(format="repro-system-v1"),
+            lambda d: d.pop("system"),
+        ],
+    )
+    def test_coerced_or_malformed_document(self, mutate):
+        document = _document(AdmissionRequest(system=example_two()))
+        mutate(document)
+        assert not decodes_verbatim(document)
+
+    @pytest.mark.parametrize("value", [5, [1], "text", None])
+    def test_not_a_document(self, value):
+        assert not decodes_verbatim(value)
+
+
+# ---------------------------------------------------------------------------
+# Soundness: a live server against the decoder
+# ---------------------------------------------------------------------------
+
+
+def _sectioned() -> System:
+    return System(
+        (
+            Task(
+                period=40.0,
+                subtasks=(
+                    Subtask(
+                        6.0,
+                        "P1",
+                        critical_sections=(
+                            CriticalSection("R1", 0.5, 1.0),
+                            CriticalSection("R2", 3.0, 2.0),
+                        ),
+                    ),
+                    Subtask(4.0, "P2"),
+                ),
+                name="locked",
+            ),
+            Task(
+                period=25.0,
+                subtasks=(
+                    Subtask(3.0, "P1", priority=1),
+                    Subtask(2.0, "P2", priority=1),
+                ),
+            ),
+        ),
+        name="sections",
+    )
+
+
+def _int_twin(system: System) -> System:
+    """``system`` with every time an int (a request built in code)."""
+    return System(
+        tuple(
+            Task(
+                period=int(task.period),
+                subtasks=tuple(
+                    Subtask(
+                        int(stage.execution_time),
+                        stage.processor,
+                        priority=stage.priority,
+                        name=stage.name,
+                    )
+                    for stage in task.subtasks
+                ),
+                name=task.name,
+            )
+            for task in system.tasks
+        ),
+        name=system.name,
+    )
+
+
+def _integral_times() -> System:
+    return System(
+        (
+            Task(
+                period=20.0,
+                subtasks=(Subtask(4.0, "P1"), Subtask(5.0, "P2")),
+                name="a",
+            ),
+            Task(
+                period=30.0,
+                subtasks=(
+                    Subtask(6.0, "P2", priority=1),
+                    Subtask(2.0, "P1", priority=1),
+                ),
+                name="b",
+            ),
+        ),
+        name="integral",
+    )
+
+
+def _exact_twin(system: System) -> System:
+    return System(
+        tuple(
+            Task(
+                period=Fraction(task.period),
+                subtasks=tuple(
+                    Subtask(
+                        Fraction(stage.execution_time),
+                        stage.processor,
+                        priority=stage.priority,
+                        name=stage.name,
+                    )
+                    for stage in task.subtasks
+                ),
+                name=task.name,
+            )
+            for task in system.tasks
+        ),
+        name=system.name,
+    )
+
+
+def _warm_requests() -> list[AdmissionRequest]:
+    return [
+        AdmissionRequest(system=example_two(), request_id="w-example"),
+        AdmissionRequest(system=_sectioned(), request_id="w-sections"),
+        AdmissionRequest(system=_integral_times(), request_id="w-integral"),
+    ]
+
+
+def _in_code_requests() -> list[AdmissionRequest]:
+    """Requests only code can build: their keys spell ints/fractions."""
+    return [
+        AdmissionRequest(system=_int_twin(_integral_times())),
+        AdmissionRequest(system=_exact_twin(_integral_times())),
+        AdmissionRequest(system=_integral_times(), clock_rate_bound=0),
+        AdmissionRequest(system=_integral_times(), sa_ds_max_iterations=300.0),
+    ]
+
+
+def _task(document: dict, index: int = 0) -> dict:
+    return document["system"]["tasks"][index]
+
+
+def _mutants() -> list[tuple[str, object]]:
+    """(label, JSON value) lines for the oracle, canonical ones first."""
+    example, sections, integral = (
+        _document(request) for request in _warm_requests()
+    )
+    lines: list[tuple[str, object]] = [
+        ("canonical-example", example),
+        ("canonical-sections", sections),
+        ("canonical-integral", integral),
+    ]
+
+    def mutant(label, base, change):
+        document = copy.deepcopy(base)
+        change(document)
+        lines.append((label, document))
+
+    # Coerced numbers: an in-code request may hold exactly these.
+    mutant("int-period", integral, lambda d: [
+        t.update(period=int(t["period"])) for t in d["system"]["tasks"]
+    ])
+    mutant("int-times", integral, lambda d: [
+        s.update(execution_time=int(s["execution_time"]))
+        for t in d["system"]["tasks"]
+        for s in t["subtasks"]
+    ] + [t.update(period=int(t["period"])) for t in d["system"]["tasks"]])
+    mutant("fraction-string-period", integral, lambda d: _task(d).update(
+        period="20"
+    ))
+    mutant("int-clock-rate", integral, lambda d: d.update(clock_rate_bound=0))
+    mutant("float-iterations", integral, lambda d: d.update(
+        sa_ds_max_iterations=300.0
+    ))
+    mutant("bool-priority", example, lambda d: _task(d)["subtasks"][0].update(
+        priority=False
+    ))
+    # Critical sections: reordered, empty, dropped flag.
+    mutant("unsorted-sections", sections, lambda d: _task(d)["subtasks"][0][
+        "critical_sections"
+    ].reverse())
+    mutant("empty-sections", example, lambda d: _task(d)["subtasks"][0].update(
+        critical_sections=[]
+    ))
+    mutant("sections-flag-false", sections, lambda d: d.update(
+        shared_resources=False
+    ))
+    mutant("declared-resources", example, lambda d: d.update(
+        shared_resources=True
+    ))
+    # Missing and extra keys.
+    mutant("missing-protocols", example, lambda d: d.pop("protocols"))
+    mutant("missing-iterations", example, lambda d: d.pop(
+        "sa_ds_max_iterations"
+    ))
+    mutant("missing-phase", example, lambda d: _task(d).pop("phase"))
+    mutant("missing-system", example, lambda d: d.pop("system"))
+    mutant("missing-period", example, lambda d: _task(d).pop("period"))
+    mutant("extra-top-level", example, lambda d: d.update(extra=1))
+    mutant("extra-in-task", example, lambda d: _task(d).update(extra=1))
+    # Protocols: case, order, duplicates, types.
+    mutant("lowercase-protocols", example, lambda d: d.update(
+        protocols=["ds", "rg"]
+    ))
+    mutant("reversed-protocols", example, lambda d: d.update(
+        protocols=list(reversed(d["protocols"]))
+    ))
+    mutant("duplicate-protocols", example, lambda d: d.update(
+        protocols=["DS", "DS"]
+    ))
+    mutant("non-string-protocol", example, lambda d: d.update(protocols=[5]))
+    # Flags, metadata, structure.
+    mutant("string-flag", example, lambda d: d.update(
+        synchronized_clocks="false"
+    ))
+    mutant("other-tenant", example, lambda d: d.update(tenant="acme"))
+    mutant("non-string-request-id", example, lambda d: d.update(request_id=7))
+    mutant("system-not-object", example, lambda d: d.update(system=5))
+    mutant("negative-time", example, lambda d: _task(d)["subtasks"][0].update(
+        execution_time=-1.0
+    ))
+    mutant("nan-clock", example, lambda d: d.update(
+        clock_rate_bound=float("nan")
+    ))
+    lines.append(("bare-system", example["system"]))
+    lines.append(("number", 5))
+    lines.append(("array", [1]))
+    lines.append(("system-number", {
+        "format": "repro-admission-request-v1", "system": 5,
+    }))
+    return lines
+
+
+def _expected(document) -> dict | None:
+    """What the decoder says the reply must be (None: an error line)."""
+    try:
+        request = request_from_dict(document)
+    except Exception:  # noqa: BLE001 - any decode failure is an error line
+        return None
+    return json.loads(json.dumps(decision_to_dict(compute_decision(request))))
+
+
+def _exchange_wire(frontend_config, warm_in_code, lines):
+    async def run():
+        async with AdmissionFrontend(frontend_config) as fe:
+            for request in warm_in_code:
+                await fe.admit(request)
+            server = await serve_frontend(fe, port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            for line in lines:
+                writer.write(line)
+                await writer.drain()
+                replies.append(
+                    json.loads(await asyncio.wait_for(reader.readline(), 60))
+                )
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return replies, fe.snapshot()
+
+    return asyncio.run(run())
+
+
+def _wire(value) -> bytes:
+    return (json.dumps(value, allow_nan=True) + "\n").encode()
+
+
+def test_served_decision_is_the_decoders_decision():
+    """Every line gets one reply, and it is what decoding would give."""
+    mutants = _mutants()
+    # Canonical documents twice: the second pass takes the document path.
+    lines = mutants[:3] + mutants
+    replies, _ = _exchange_wire(
+        FrontendConfig(shards=2),
+        _in_code_requests(),
+        [_wire(value) for _, value in lines],
+    )
+    assert len(replies) == len(lines)
+    for (label, document), reply in zip(lines, replies):
+        expected = _expected(json.loads(json.dumps(document, allow_nan=True)))
+        if expected is None:
+            assert set(reply) == {"error"}, label
+        else:
+            assert reply == expected, label
+
+
+def test_in_code_twins_are_never_served_to_wire_documents():
+    """A document spelling an in-code request's ints or fractions is
+    decoded, so it gets the float request's decision and key."""
+    integral = _document(_warm_requests()[2])
+    ints = copy.deepcopy(integral)
+    for task in ints["system"]["tasks"]:
+        task["period"] = int(task["period"])
+    twin = AdmissionRequest(system=_int_twin(_integral_times()))
+    assert request_key(ints) != request_key(integral)
+    replies, _ = _exchange_wire(
+        FrontendConfig(shards=1), [twin], [_wire(ints)]
+    )
+    assert replies[0]["key"] == request_key(request_from_dict(ints))
+    assert replies[0]["key"] != request_key(twin)
+
+
+# ---------------------------------------------------------------------------
+# Bookkeeping: one token and one counted lookup per decoded request
+# ---------------------------------------------------------------------------
+
+
+def test_wire_hit_counts_like_an_admit_hit():
+    request = _warm_requests()[0]
+    line = _wire(_document(request))
+    replies, snapshot = _exchange_wire(
+        FrontendConfig(shards=2), [], [line, line, line, b"[1]\n"]
+    )
+    assert [reply["request_id"] for reply in replies[:3]] == ["w-example"] * 3
+    assert "error" in replies[3]
+    assert snapshot["aggregate"]["requests"] == 3
+    assert snapshot["aggregate"]["cache_hits"] == 2
+    assert snapshot["cache"]["hits"] == 2
+    # The miss is looked up once by admit and once on the worker's
+    # re-check; the two hits once each.
+    assert snapshot["cache"]["misses"] == 2
+    assert sum(shard["cache_hits"] for shard in snapshot["shards"]) == 2
+
+
+def test_bad_line_touches_no_counter():
+    request = _warm_requests()[0]
+    line = _wire(_document(request))
+    bad = [b"5\n", b"[1]\n", _wire({"format": "repro-admission-request-v1"})]
+    _, before = _exchange_wire(FrontendConfig(shards=1), [], [line])
+    _, after = _exchange_wire(FrontendConfig(shards=1), [], [line, *bad])
+    assert after["aggregate"] == before["aggregate"] | {
+        key: after["aggregate"][key]
+        for key in after["aggregate"]
+        if key.startswith("latency")
+    }
+    assert after["cache"] == before["cache"]
+
+
+def test_quota_shed_on_a_wire_hit():
+    request = _warm_requests()[0]
+    document = _document(request)
+    document["tenant"] = "acme"
+    config = FrontendConfig(
+        shards=1,
+        tenant_quotas={"acme": TenantQuota(rate=1e-9, burst=1)},
+    )
+    replies, snapshot = _exchange_wire(
+        config, [request], [_wire(document), _wire(document)]
+    )
+    assert replies[0]["request_id"] == "w-example"
+    assert "service shed:" not in replies[0]["rationale"]
+    assert replies[1]["rationale"].startswith("service shed:")
+    assert replies[1]["request_id"] == "w-example"
+    assert replies[1]["key"] == ""
+    assert snapshot["aggregate"]["shed"] == 1
+    # One counted lookup for the warm admit, one for the served hit.
+    assert snapshot["cache"]["hits"] == 1
+
+
+def test_cached_key_is_pure_and_entry_loss_falls_back():
+    request = _warm_requests()[0]
+    document = _document(request)
+
+    async def run():
+        async with AdmissionFrontend(FrontendConfig(shards=1)) as fe:
+            assert fe.cached_key(document) is None
+            await fe.admit(request)
+            before = fe.snapshot()
+            key = fe.cached_key(document)
+            assert key == request_key(request)
+            assert fe.snapshot() == before
+            fe.cache.clear()  # the entry leaves between lookup and admit
+            return await fe.admit_cached(document, key), fe.snapshot()
+
+    decision, snapshot = asyncio.run(run())
+    assert decision == compute_decision(request)
+    assert snapshot["aggregate"]["requests"] == 2

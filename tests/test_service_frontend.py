@@ -742,3 +742,62 @@ class TestTcpServer:
         assert "synchronized_clocks" in replies[0]["error"]
         assert "admitted" not in replies[0]
         assert replies[1]["request_id"] == "after"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"5\n",
+            b"[1]\n",
+            b'"text"\n',
+            b'{"format":"repro-admission-request-v1","system":5}\n',
+            b'{"format":"repro-admission-request-v1","system":[1]}\n',
+            b"[" * 5000 + b"]" * 5000 + b"\n",
+        ],
+        ids=[
+            "number",
+            "array",
+            "string",
+            "system-number",
+            "system-array",
+            "deep",
+        ],
+    )
+    def test_non_object_line_answered_and_connection_kept(self, line):
+        replies = self._exchange([line, self._line(_request(1, "after"))])
+        assert len(replies) == 2
+        assert "bad request line" in replies[0]["error"]
+        assert replies[1]["request_id"] == "after"
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"protocols": [5]},
+            {"protocols": ["DS", None]},
+        ],
+        ids=["number", "null"],
+    )
+    def test_non_string_protocol_answered_and_connection_kept(self, change):
+        document = request_to_dict(_request(1, "bad"))
+        document.update(change)
+        replies = self._exchange(
+            [
+                (json.dumps(document) + "\n").encode(),
+                self._line(_request(1, "after")),
+            ]
+        )
+        assert len(replies) == 2
+        assert "protocol names must be strings" in replies[0]["error"]
+        assert replies[1]["request_id"] == "after"
+
+    def test_invalid_model_answered_and_connection_kept(self):
+        document = request_to_dict(_request(1, "bad"))
+        document["system"]["tasks"][0]["period"] = -5.0
+        replies = self._exchange(
+            [
+                (json.dumps(document) + "\n").encode(),
+                self._line(_request(1, "after")),
+            ]
+        )
+        assert len(replies) == 2
+        assert "period" in replies[0]["error"]
+        assert replies[1]["request_id"] == "after"

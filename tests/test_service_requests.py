@@ -196,3 +196,45 @@ class TestValidation:
         assert math.isfinite(rebuilt.worst_bound_ratio) or math.isinf(
             rebuilt.worst_bound_ratio
         )
+
+class TestMalformedDocuments:
+    """Decoding fails with the codec's errors, never AttributeError."""
+
+    BAD_LINES = [
+        "5",
+        "[1]",
+        '"text"',
+        "null",
+        '{"format": "repro-admission-request-v1", "system": 5}',
+        '{"format": "repro-admission-request-v1", "system": [1]}',
+    ]
+
+    @pytest.mark.parametrize("line", BAD_LINES)
+    def test_non_object_rejected(self, line):
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            request_from_dict(json.loads(line))
+
+    @pytest.mark.parametrize("protocols", [[5], ["DS", None], [["DS"]]])
+    def test_non_string_protocol_rejected(self, small_system, protocols):
+        document = request_to_dict(AdmissionRequest(system=small_system))
+        document["protocols"] = protocols
+        with pytest.raises(ConfigurationError, match="must be strings"):
+            request_from_dict(document)
+
+    @pytest.mark.parametrize("line", BAD_LINES)
+    def test_jsonl_loader_reports_the_line(self, tmp_path, small_system, line):
+        good = json.dumps(
+            request_to_dict(AdmissionRequest(system=small_system))
+        )
+        path = tmp_path / "requests.jsonl"
+        path.write_text(f"{good}\n{line}\n")
+        with pytest.raises(ConfigurationError, match=":2: bad admission"):
+            load_requests_jsonl(path)
+
+    def test_jsonl_loader_reports_invalid_models(self, tmp_path, small_system):
+        document = request_to_dict(AdmissionRequest(system=small_system))
+        document["system"]["tasks"][0]["period"] = -1.0
+        path = tmp_path / "requests.jsonl"
+        path.write_text(json.dumps(document) + "\n")
+        with pytest.raises(ConfigurationError, match=":1: .*period"):
+            load_requests_jsonl(path)
