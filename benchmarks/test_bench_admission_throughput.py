@@ -113,7 +113,7 @@ def test_single_admission_hit_latency(benchmark):
 
 def test_single_admission_miss_latency(benchmark):
     """Cold path for reference: one full SA/PM + SA/DS decision."""
-    controller = AdmissionController(enable_cache=False)
+    controller = AdmissionController(cache_backend=None)
     request = AdmissionRequest(system=generate_system(CONFIG, seed=1))
     decision = benchmark(lambda: controller.admit(request))
     assert decision.key

@@ -98,7 +98,7 @@ def test_build_cost_amortizes():
     region = tier.build(prime)
     build_seconds = time.perf_counter() - started
 
-    direct = AdmissionController(enable_cache=False)
+    direct = AdmissionController(cache_backend=None)
     started = time.perf_counter()
     for _ in range(20):
         direct.admit(probe_request)

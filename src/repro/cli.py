@@ -84,10 +84,10 @@ from repro.io import (
 from repro.service import (
     AdmissionController,
     AdmissionRequest,
-    DecisionCache,
     request_from_dict,
     save_decisions_jsonl,
 )
+from repro.service.store import STORE_BACKENDS
 from repro.viz.gantt import render_gantt
 from repro.workload.config import WorkloadConfig, paper_grid
 from repro.workload.examples import example_two
@@ -354,7 +354,7 @@ def _add_admission_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_region_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--region-backend", choices=("memory", "sqlite"), default=None,
+        "--region-backend", choices=STORE_BACKENDS, default=None,
         help="enable the feasibility-region tier above the decision "
         "cache: repeat-shape admissions are served analysis-free from "
         "precomputed regions (default: off)",
@@ -390,16 +390,17 @@ def _admission_options(args: argparse.Namespace) -> dict:
 
 
 def _make_controller(args: argparse.Namespace) -> AdmissionController:
-    region_kwargs = {
-        "region_backend": args.region_backend,
-        "region_capacity": args.region_capacity,
-        "region_path": args.region_file,
-        "region_build_threshold": args.region_build_threshold,
-    }
-    if args.no_cache:
-        return AdmissionController(enable_cache=False, **region_kwargs)
-    cache = DecisionCache(capacity=args.cache_size, path=args.cache_file)
-    return AdmissionController(cache=cache, **region_kwargs)
+    """The controller the admission commands run; it owns its stores,
+    so closing it persists ``--cache-file`` and ``--region-file``."""
+    return AdmissionController(
+        cache_backend=None if args.no_cache else "memory",
+        cache_capacity=args.cache_size,
+        cache_path=args.cache_file,
+        region_backend=args.region_backend,
+        region_capacity=args.region_capacity,
+        region_path=args.region_file,
+        region_build_threshold=args.region_build_threshold,
+    )
 
 
 def _run_admissions(
@@ -472,32 +473,31 @@ def _cmd_admit(args: argparse.Namespace) -> int:
         )
         return 2
     options = _admission_options(args)
-    controller = _make_controller(args)
     if args.load is not None:
         requests = [
             AdmissionRequest(system=load_system(args.load), **options)
         ]
     else:
         requests = _load_admit_requests(args.jsonl, options)
-    decisions = _run_admissions(
-        controller,
-        requests,
-        args,
-        progress=_progress if args.jsonl is not None else None,
-    )
-    if args.out is not None:
-        save_decisions_jsonl(decisions, args.out)
-        print(
-            f"wrote {len(decisions)} decisions to {args.out}",
-            file=sys.stderr,
+    with _make_controller(args) as controller:
+        decisions = _run_admissions(
+            controller,
+            requests,
+            args,
+            progress=_progress if args.jsonl is not None else None,
         )
-    for decision in decisions:
-        print(decision.describe())
+        if args.out is not None:
+            save_decisions_jsonl(decisions, args.out)
+            print(
+                f"wrote {len(decisions)} decisions to {args.out}",
+                file=sys.stderr,
+            )
+        for decision in decisions:
+            print(decision.describe())
+        if args.stats:
+            print(controller.describe(), file=sys.stderr)
     if controller.cache is not None and args.cache_file is not None:
-        controller.cache.save()
         print(f"persisted cache to {args.cache_file}", file=sys.stderr)
-    if args.stats:
-        print(controller.describe(), file=sys.stderr)
     return 0
 
 
@@ -519,13 +519,15 @@ def _cmd_admit_bench(args: argparse.Namespace) -> int:
         )
         for offset in range(args.systems)
     ]
-    controller = _make_controller(args)
-    started = time.perf_counter()
-    cold = _run_admissions(controller, requests, args)
-    cold_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    warm = _run_admissions(controller, requests, args)
-    warm_seconds = time.perf_counter() - started
+    with _make_controller(args) as controller:
+        started = time.perf_counter()
+        cold = _run_admissions(controller, requests, args)
+        cold_seconds = time.perf_counter() - started
+        started = time.perf_counter()
+        warm = _run_admissions(controller, requests, args)
+        warm_seconds = time.perf_counter() - started
+        if args.stats:
+            print(controller.describe(), file=sys.stderr)
     if [d.protocol for d in cold] != [d.protocol for d in warm]:
         print("admit-bench: warm decisions diverged!", file=sys.stderr)
         return 1
@@ -545,8 +547,6 @@ def _cmd_admit_bench(args: argparse.Namespace) -> int:
     )
     print(f"  speedup: {speedup:.1f}x")
     print(f"  admitted: {admitted}/{args.systems}")
-    if args.stats:
-        print(controller.describe(), file=sys.stderr)
     return 0
 
 
@@ -690,7 +690,7 @@ def _add_frontend_options(parser: argparse.ArgumentParser) -> None:
         help="executor width per shard (default: 1)",
     )
     parser.add_argument(
-        "--cache-backend", choices=("memory", "sqlite"), default="memory",
+        "--cache-backend", choices=STORE_BACKENDS, default="memory",
         help="decision-cache backend (default: memory)",
     )
     parser.add_argument(

@@ -55,10 +55,9 @@ from repro.regions.shape import (
     task_shape_token,
 )
 from repro.regions.store import (
-    REGION_BACKENDS,
+    REGION_STORES,
     MemoryRegionStore,
     SqliteRegionStore,
-    make_region_store,
 )
 from repro.regions.tier import RegionTier
 
@@ -68,14 +67,13 @@ __all__ = [
     "FeasibilityRegion",
     "MemoryRegionStore",
     "REGION_ANALYSES",
-    "REGION_BACKENDS",
+    "REGION_STORES",
     "RegionTier",
     "SHAPE_FORMAT",
     "SqliteRegionStore",
     "compute_region",
     "dimension_names",
     "execution_vector",
-    "make_region_store",
     "probe_point",
     "region_from_dict",
     "region_to_dict",

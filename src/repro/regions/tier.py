@@ -49,8 +49,8 @@ from repro.regions.compute import (
 )
 from repro.regions.region import FeasibilityRegion
 from repro.regions.shape import execution_vector, shape_key
-from repro.regions.store import make_region_store
-from repro.service.cache import CacheStats
+from repro.regions.store import MemoryRegionStore
+from repro.service.store import CacheStats
 from repro.service.hashing import request_key
 from repro.service.requests import AdmissionDecision, AdmissionRequest
 from repro.timebase import get_timebase
@@ -64,9 +64,10 @@ class RegionTier:
     Parameters
     ----------
     store:
-        A region store (:func:`repro.regions.store.make_region_store`
-        output).  Omit to build one from ``backend``/``capacity``/
-        ``path``.
+        A region store (:class:`repro.regions.store.MemoryRegionStore`
+        or :class:`~repro.regions.store.SqliteRegionStore`; the
+        admission controller builds it from configuration).  Omit for
+        a fresh in-process store of the default capacity.
     build_threshold:
         Number of direct computations of one shape before the tier
         builds its region (1 = build on first sight; higher thresholds
@@ -87,10 +88,6 @@ class RegionTier:
         self,
         store=None,
         *,
-        backend: str = "memory",
-        capacity: int = 1024,
-        path=None,
-        fsync: str = "data",
         build_threshold: int = 2,
         tolerance: float = DEFAULT_TOLERANCE,
         max_factor: float = DEFAULT_MAX_FACTOR,
@@ -104,13 +101,7 @@ class RegionTier:
             raise ConfigurationError(
                 f"build_threshold must be >= 1, got {build_threshold}"
             )
-        self.store = (
-            store
-            if store is not None
-            else make_region_store(
-                backend, capacity=capacity, path=path, fsync=fsync
-            )
-        )
+        self.store = store if store is not None else MemoryRegionStore()
         self.build_threshold = build_threshold
         self.tolerance = tolerance
         self.max_factor = max_factor
@@ -273,15 +264,7 @@ class RegionTier:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Close the underlying store (flushes file-backed stores)."""
-        close = getattr(self.store, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "RegionTier":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.store.close()
 
     # ------------------------------------------------------------------
     # Observability

@@ -9,11 +9,14 @@ procedure:
   JSON(L) codecs;
 * :mod:`repro.service.hashing` -- canonical, process-stable content
   keys (SHA-256 over canonical JSON);
-* :mod:`repro.service.cache` -- a thread-safe LRU decision cache with
-  stats, JSONL persistence for warm restarts, and a single-flight
-  table that collapses concurrent misses on one key;
-* :mod:`repro.service.backends` -- pluggable cache backends behind the
-  same interface (in-proc LRU, sqlite/WAL) via :func:`make_cache`;
+* :mod:`repro.service.store` -- the one keyed LRU store (a memory
+  engine and a sqlite/WAL engine, generic over a value codec) that
+  both the decision cache and the region tier use, and
+  :func:`make_store`, its config-driven factory;
+* :mod:`repro.service.cache` -- the in-process decision cache, and the
+  single-flight table that collapses concurrent misses on one key;
+* :mod:`repro.service.backends` -- the sqlite/WAL decision cache behind
+  the same interface;
 * :mod:`repro.service.engine` -- the :class:`AdmissionController`
   (analyses + Section 6 advisor behind the cache);
 * :mod:`repro.service.batch` -- batch admission over a process pool
@@ -51,7 +54,7 @@ Quickstart::
         deploy(my_system, protocol=decision.protocol)
 """
 
-from repro.service.backends import SqliteDecisionCache, make_cache
+from repro.service.backends import DECISION_STORES, SqliteDecisionCache
 from repro.service.batch import admit_batch
 from repro.service.cache import CacheStats, DecisionCache, SingleFlight
 from repro.service.durability import RecoveryReport
@@ -66,6 +69,7 @@ from repro.service.hashing import request_key, system_key
 from repro.service.loadgen import LoadgenConfig, LoadReport, run_campaign, run_load
 from repro.service.metrics import ServiceMetrics
 from repro.service.sharding import ShardRing
+from repro.service.store import STORE_BACKENDS, StoreCodec, make_store
 from repro.service.supervision import BreakerConfig, CircuitBreaker
 from repro.service.requests import (
     ALL_PROTOCOLS,
@@ -82,6 +86,7 @@ from repro.service.requests import (
 
 __all__ = [
     "ALL_PROTOCOLS",
+    "DECISION_STORES",
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionFrontend",
@@ -97,9 +102,11 @@ __all__ = [
     "RegionTier",
     "ServiceChaosReport",
     "ServiceMetrics",
+    "STORE_BACKENDS",
     "ShardRing",
     "SingleFlight",
     "SqliteDecisionCache",
+    "StoreCodec",
     "TenantQuota",
     "admit_batch",
     "compute_decision",
@@ -107,7 +114,7 @@ __all__ = [
     "decision_to_dict",
     "load_decisions_jsonl",
     "load_requests_jsonl",
-    "make_cache",
+    "make_store",
     "request_from_dict",
     "request_key",
     "request_to_dict",

@@ -30,66 +30,29 @@ sharded frontend.
 
 from __future__ import annotations
 
-import json
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from pathlib import Path
 
-from repro.errors import ConfigurationError
-from repro.service.durability import (
-    FSYNC_POLICIES,
-    RecoveryReport,
-    atomic_write_text,
-    frame_line,
-    load_jsonl_salvaging,
-)
 from repro.service.requests import (
     AdmissionDecision,
     decision_from_dict,
     decision_to_dict,
 )
+from repro.service.store import CacheStats, MemoryStore, StoreCodec
 
-__all__ = ["CacheStats", "DecisionCache", "SingleFlight"]
+__all__ = ["DECISION_CODEC", "CacheStats", "DecisionCache", "SingleFlight"]
 
-_PERSIST_FORMAT = "repro-admission-cache-v1"
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """A point-in-time snapshot of the cache's counters.
-
-    ``coalesced`` counts lookups that found the key *in flight* rather
-    than resident: the caller waited for the leader's computation
-    instead of starting its own (see :class:`SingleFlight`).
-    """
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    capacity: int
-    coalesced: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups; 0.0 before the first lookup."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def describe(self) -> str:
-        extra = (
-            f", {self.coalesced} coalesced" if self.coalesced else ""
-        )
-        return (
-            f"cache: {self.size}/{self.capacity} entries, "
-            f"{self.hits} hits / {self.misses} misses "
-            f"(rate {self.hit_rate:.1%}), {self.evictions} evictions"
-            f"{extra}"
-        )
+#: The decision stores' codec: ``{"key": ..., "decision": ...}`` records
+#: and the ``decisions`` sqlite table.
+DECISION_CODEC = StoreCodec(
+    format="repro-admission-cache-v1",
+    key_field="key",
+    value_field="decision",
+    table="decisions",
+    label="cache",
+    to_dict=decision_to_dict,
+    from_dict=decision_from_dict,
+    capacity=4096,
+)
 
 
 class _Flight:
@@ -184,21 +147,29 @@ class SingleFlight:
             return self._coalesced
 
 
-class DecisionCache:
+class _Flights:
+    """The decision caches' share: a single-flight table, counted.
+
+    Mixed in ahead of an engine, so ``stats().coalesced`` reports the
+    lookups that joined a flight instead of the engine's constant 0.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.flights = SingleFlight()
+        super().__init__(*args, **kwargs)
+
+    @property
+    def coalesced(self) -> int:
+        return self.flights.coalesced
+
+
+class DecisionCache(_Flights, MemoryStore):
     """LRU-bounded, thread-safe map from content key to decision.
 
-    Parameters
-    ----------
-    capacity:
-        Maximum number of decisions retained; the least recently *used*
-        (looked up or stored) entry is evicted first.
-    path:
-        Optional persistence file.  When given and present, the cache
-        warm-starts from it on construction; :meth:`save` rewrites it
-        (atomically; see :mod:`repro.service.durability`).
-    fsync:
-        Snapshot fsync policy, one of
-        :data:`repro.service.durability.FSYNC_POLICIES`.
+    The in-process engine (:class:`~repro.service.store.MemoryStore`)
+    bound to :data:`DECISION_CODEC`: ``capacity`` (default 4096),
+    ``path`` (the JSONL snapshot it warm-starts from and saves to) and
+    ``fsync`` are the engine's.
 
     Every cache carries a :class:`SingleFlight` table as ``flights``,
     which the batch layer and the sharded frontend use to collapse
@@ -208,173 +179,10 @@ class DecisionCache:
     for a torn file, or a clean report).
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        *,
-        path: str | Path | None = None,
-        fsync: str = "data",
-    ) -> None:
-        if capacity < 1:
-            raise ConfigurationError(
-                f"cache capacity must be >= 1, got {capacity}"
-            )
-        if fsync not in FSYNC_POLICIES:
-            raise ConfigurationError(
-                f"unknown fsync policy {fsync!r}; expected one of "
-                f"{'/'.join(FSYNC_POLICIES)}"
-            )
-        self._capacity = capacity
-        self._entries: OrderedDict[str, AdmissionDecision] = OrderedDict()
-        self._lock = threading.RLock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self.flights = SingleFlight()
-        self._fsync = fsync
-        self.last_recovery: RecoveryReport | None = None
-        self.integrity_failures = 0  # uniform backend-health surface
-        self._path = None if path is None else Path(path)
-        if self._path is not None and self._path.exists():
-            self.load(self._path)
-
-    # ------------------------------------------------------------------
-    # Core map operations
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> AdmissionDecision | None:
-        """The cached decision for ``key``, or None; counts hit/miss."""
-        with self._lock:
-            decision = self._entries.get(key)
-            if decision is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return decision
-
-    def put(self, key: str, decision: AdmissionDecision) -> None:
-        """Store (or refresh) a decision, evicting LRU entries if full."""
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = decision
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def __contains__(self, key: str) -> bool:
-        """Membership without touching recency or the counters."""
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def keys(self) -> tuple[str, ...]:
-        """Current keys, least recently used first."""
-        with self._lock:
-            return tuple(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                capacity=self._capacity,
-                coalesced=self.flights.coalesced,
-            )
-
-    # ------------------------------------------------------------------
-    # Persistence (warm restarts)
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path | None = None) -> Path:
-        """Snapshot every entry as CRC-framed JSONL, LRU first (so a
-        smaller-capacity reload keeps the hottest entries).
-
-        The write is atomic (temp file + rename under the constructor's
-        fsync policy): a crash mid-save leaves the previous complete
-        snapshot, never a torn file.  Returns the path written.
-        """
-        target = Path(path) if path is not None else self._path
-        if target is None:
-            raise ConfigurationError(
-                "no persistence path: pass one to save() or the constructor"
-            )
-        with self._lock:
-            lines = [
-                frame_line(
-                    json.dumps(
-                        {
-                            "format": _PERSIST_FORMAT,
-                            "key": key,
-                            "decision": decision_to_dict(decision),
-                        },
-                        sort_keys=True,
-                    )
-                )
-                for key, decision in self._entries.items()
-            ]
-        return atomic_write_text(
-            target,
-            "\n".join(lines) + ("\n" if lines else ""),
-            fsync=self._fsync,
-        )
-
-    def load(self, path: str | Path) -> int:
-        """Merge entries from a :meth:`save` file; returns the count.
-
-        Lines are applied in file order, so the file's most recently
-        used entries end up most recently used here too.  A torn or
-        truncated tail (crash mid-append) is *salvaged*: the valid
-        prefix loads, the damage is logged and reported in
-        ``last_recovery``.  A parseable line of a foreign format, or a
-        well-formed record this cache cannot apply, still raises
-        :class:`ConfigurationError` -- those are configuration/writer
-        bugs, not storage damage.  Legacy unframed files load too.
-        """
-
-        def apply(entry: dict) -> None:
-            self.put(entry["key"], decision_from_dict(entry["decision"]))
-
-        report = load_jsonl_salvaging(
-            path,
-            expected_format=_PERSIST_FORMAT,
-            apply=apply,
-            label="cache",
-        )
-        self.last_recovery = report
-        return report.loaded
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Flush to the constructor's persistence path, if any.
-
-        Idempotent; a path-less cache has nothing to do.  This is what
-        makes ``with DecisionCache(path=...) as cache:`` crash-restart
-        friendly: normal teardown leaves a complete snapshot behind.
-        """
-        if self._path is not None:
-            self.save()
-
-    def __enter__(self) -> "DecisionCache":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    codec = DECISION_CODEC
+    # Bound here, not inherited: the perfbench tracer
+    # (perfbench/spans.py) wraps ``get``/``put`` through this class's
+    # own ``__dict__``, and region stores, which resolve them on the
+    # engine, must stay out of its ``cache.*`` counts.
+    get = MemoryStore.get
+    put = MemoryStore.put

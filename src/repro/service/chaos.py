@@ -57,7 +57,8 @@ from pathlib import Path
 
 import repro.service.frontend as frontend_module
 from repro.errors import ConfigurationError
-from repro.service.backends import SqliteDecisionCache, make_cache
+from repro.service.backends import SqliteDecisionCache
+from repro.service.cache import DecisionCache
 from repro.service.engine import compute_decision
 from repro.service.frontend import AdmissionFrontend, FrontendConfig
 from repro.service.hashing import request_key
@@ -343,7 +344,7 @@ def _scenario_cache_damage(
         intact = _tear_tail(path, rng)
     else:
         intact = _truncate_fraction(path, 0.6)
-    salvaged = make_cache("memory", capacity=4096, path=path)
+    salvaged = DecisionCache(capacity=4096, path=path)
     report = salvaged.last_recovery
     if not checks.expect(
         report is not None and report.dropped >= 1,
@@ -385,7 +386,7 @@ def _scenario_region_salvage(
     concurrency: int,
 ) -> ScenarioResult:
     """Torn-tail damage against the region-store JSONL."""
-    from repro.regions.store import make_region_store
+    from repro.regions.store import MemoryRegionStore
     from repro.regions.tier import RegionTier
 
     checks = _Checks()
@@ -404,7 +405,7 @@ def _scenario_region_salvage(
     ):
         return ScenarioResult(name, tuple(checks.failures))
     intact = _tear_tail(path, rng)
-    store = make_region_store("memory", capacity=1024, path=path)
+    store = MemoryRegionStore(capacity=1024, path=path)
     report = store.last_recovery
     if not checks.expect(
         report is not None and report.dropped >= 1,

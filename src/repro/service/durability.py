@@ -34,9 +34,11 @@ default), ``"never"`` (fastest; rely on the page cache).
 For sqlite backends, :func:`open_sqlite_checked` runs ``PRAGMA
 integrity_check`` on open and, on any corruption, quarantines the
 damaged database (and its ``-wal``/``-shm`` siblings) under a
-``.quarantined-N`` suffix and reconnects to a fresh file -- the caller
-then rebuilds from its JSONL snapshot via ``rebuild_from``.  Nothing is
-deleted: a quarantined file is evidence, not garbage.
+``.quarantined-N`` suffix and reconnects to a fresh file.  A store
+opened with the constructor's ``rebuild_from`` JSONL snapshot then
+rebuilds from it, as the service-chaos gate's ``sqlite-corruption``
+scenario does; no configuration field sets it.  Nothing is deleted: a
+quarantined file is evidence, not garbage.
 """
 
 from __future__ import annotations

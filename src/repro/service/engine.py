@@ -22,10 +22,12 @@ from repro.core.analysis.sa_pm import analyze_sa_pm
 from repro.core.analysis.skew import analyze_sa_pm_skewed
 from repro.locks import analyze_sa_ds_blocking, analyze_sa_pm_blocking
 from repro.model.system import System
+from repro.service.backends import DECISION_STORES
 from repro.service.cache import CacheStats, DecisionCache
 from repro.service.hashing import request_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import AdmissionDecision, AdmissionRequest
+from repro.service.store import make_store
 
 __all__ = ["AdmissionController", "compute_decision"]
 
@@ -166,16 +168,17 @@ class AdmissionController:
     ----------
     cache:
         A :class:`DecisionCache` to memoize through.  Omit for a fresh
-        cache built from ``cache_backend``; pass ``enable_cache=False``
-        to always recompute (the decisions are identical either way).
+        cache built from ``cache_backend``.
     metrics:
         A :class:`ServiceMetrics` to account into; a fresh one is made
         when omitted.
-    cache_backend / cache_capacity / cache_path:
+    cache_backend / cache_capacity / cache_path / fsync:
         When no ``cache`` is given, the backend to build: ``"memory"``
-        (in-process LRU) or ``"sqlite"`` (WAL-mode store at
-        ``cache_path``, shareable across controllers).  See
-        :func:`repro.service.backends.make_cache`.
+        (in-process LRU; ``cache_path`` is its JSONL snapshot),
+        ``"sqlite"`` (WAL-mode store at ``cache_path``, shareable
+        across controllers) or ``None`` to always recompute (the
+        decisions are identical either way).  See
+        :func:`repro.service.store.make_store`.
     region_backend / region_capacity / region_path /
     region_build_threshold:
         The optional region tier (:class:`repro.regions.tier.RegionTier`)
@@ -185,6 +188,12 @@ class AdmissionController:
         default) disables the tier entirely, preserving historical
         behavior byte for byte; ``"memory"``/``"sqlite"`` enable it.
         A prebuilt tier can be passed as ``region_tier`` instead.
+
+    The controller is the one place stores are built, health-checked
+    and closed: the sharded frontend holds one over its aggregate
+    metrics.  Recovery damage found while opening a store (a salvaged
+    snapshot, a quarantined database) is recorded in ``metrics``;
+    :meth:`close` closes what the controller built.
     """
 
     def __init__(
@@ -192,8 +201,7 @@ class AdmissionController:
         cache: DecisionCache | None = None,
         *,
         metrics: ServiceMetrics | None = None,
-        enable_cache: bool = True,
-        cache_backend: str = "memory",
+        cache_backend: str | None = "memory",
         cache_capacity: int = 4096,
         cache_path=None,
         fsync: str = "data",
@@ -205,26 +213,29 @@ class AdmissionController:
     ) -> None:
         self._owns_cache = False
         self._owns_regions = False
-        if cache is None and enable_cache:
-            from repro.service.backends import make_cache
-
-            cache = make_cache(
+        if cache is None and cache_backend is not None:
+            cache = make_store(
+                DECISION_STORES,
                 cache_backend,
                 capacity=cache_capacity,
                 path=cache_path,
                 fsync=fsync,
             )
             self._owns_cache = True
-        self.cache = cache if enable_cache else None
+        self.cache = cache
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         if region_tier is None and region_backend is not None:
+            from repro.regions.store import REGION_STORES
             from repro.regions.tier import RegionTier
 
             region_tier = RegionTier(
-                backend=region_backend,
-                capacity=region_capacity,
-                path=region_path,
-                fsync=fsync,
+                make_store(
+                    REGION_STORES,
+                    region_backend,
+                    capacity=region_capacity,
+                    path=region_path,
+                    fsync=fsync,
+                ),
                 build_threshold=region_build_threshold,
                 metrics=self.metrics,
             )
@@ -239,14 +250,13 @@ class AdmissionController:
         ):
             if store is None:
                 continue
-            report = getattr(store, "last_recovery", None)
+            report = store.last_recovery
             if report is not None and not report.clean:
                 self.metrics.record_recovery(
                     salvaged=report.salvaged, dropped=report.dropped
                 )
-            failures = getattr(store, "integrity_failures", 0)
-            if failures:
-                self.metrics.record_integrity_failure(failures)
+            if store.integrity_failures:
+                self.metrics.record_integrity_failure(store.integrity_failures)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -259,12 +269,10 @@ class AdmissionController:
         Caller-passed backends are the caller's to close.
         """
         try:
-            if self._owns_cache and self.cache is not None:
-                close = getattr(self.cache, "close", None)
-                if close is not None:
-                    close()
+            if self._owns_cache:
+                self.cache.close()
         finally:
-            if self._owns_regions and self.regions is not None:
+            if self._owns_regions:
                 self.regions.close()
 
     def __enter__(self) -> "AdmissionController":

@@ -44,10 +44,10 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from repro.errors import ConfigurationError, ReproError
-from repro.service.backends import CACHE_BACKENDS, make_cache
 from repro.service.batch import _compute_job, _degraded_decision
 from repro.service.cache import SingleFlight
 from repro.service.durability import FSYNC_POLICIES
+from repro.service.engine import AdmissionController
 from repro.service.hashing import request_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.supervision import BreakerConfig, CircuitBreaker
@@ -59,6 +59,7 @@ from repro.service.requests import (
     request_from_dict,
 )
 from repro.service.sharding import ShardRing
+from repro.service.store import STORE_BACKENDS
 
 __all__ = [
     "AdmissionFrontend",
@@ -202,11 +203,11 @@ class FrontendConfig:
                 f"got {self.workers_per_shard}"
             )
         if self.cache_backend is not None and (
-            self.cache_backend not in CACHE_BACKENDS
+            self.cache_backend not in STORE_BACKENDS
         ):
             raise ConfigurationError(
                 f"unknown cache backend {self.cache_backend!r}; "
-                f"expected one of {'/'.join(CACHE_BACKENDS)} or None"
+                f"expected one of {'/'.join(STORE_BACKENDS)} or None"
             )
         if self.job_timeout is not None and not (
             self.job_timeout > 0 and math.isfinite(self.job_timeout)
@@ -226,14 +227,13 @@ class FrontendConfig:
                 f"retry_backoff must be finite and >= 0, "
                 f"got {self.retry_backoff!r}"
             )
-        if self.region_backend is not None:
-            from repro.regions.store import REGION_BACKENDS
-
-            if self.region_backend not in REGION_BACKENDS:
-                raise ConfigurationError(
-                    f"unknown region backend {self.region_backend!r}; "
-                    f"expected one of {'/'.join(REGION_BACKENDS)} or None"
-                )
+        if self.region_backend is not None and (
+            self.region_backend not in STORE_BACKENDS
+        ):
+            raise ConfigurationError(
+                f"unknown region backend {self.region_backend!r}; "
+                f"expected one of {'/'.join(STORE_BACKENDS)} or None"
+            )
         if self.region_build_threshold < 1:
             raise ConfigurationError(
                 f"region_build_threshold must be >= 1, "
@@ -337,6 +337,9 @@ class AdmissionFrontend:
         object with the :class:`~repro.service.cache.DecisionCache`
         interface, including a shared
         :class:`~repro.service.backends.SqliteDecisionCache`).
+    region_tier:
+        Override the config-built region tier with a ready
+        :class:`~repro.regions.tier.RegionTier`.
     clock:
         Monotonic clock for the quota buckets (injectable for tests).
     """
@@ -350,39 +353,24 @@ class AdmissionFrontend:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.config = config if config is not None else FrontendConfig()
-        self._owns_cache = False
-        self._owns_regions = False
-        if cache is not None:
-            self.cache = cache
-        elif self.config.cache_backend is None:
-            self.cache = None
-        else:
-            self.cache = make_cache(
-                self.config.cache_backend,
-                capacity=self.config.cache_capacity,
-                path=self.config.cache_path,
-                fsync=self.config.fsync,
-            )
-            self._owns_cache = True
-        self.metrics = ServiceMetrics()  # fleet-wide aggregate
-        if region_tier is not None:
-            self.regions = region_tier
-            if self.regions.metrics is None:
-                self.regions.metrics = self.metrics
-        elif self.config.region_backend is None:
-            self.regions = None
-        else:
-            from repro.regions.tier import RegionTier
-
-            self.regions = RegionTier(
-                backend=self.config.region_backend,
-                capacity=self.config.region_capacity,
-                path=self.config.region_path,
-                build_threshold=self.config.region_build_threshold,
-                metrics=self.metrics,
-                fsync=self.config.fsync,
-            )
-            self._owns_regions = True
+        # The controller builds the stores, records their recovery
+        # damage in the fleet-wide metrics, and closes what it built;
+        # caller-passed ``cache``/``region_tier`` stay the caller's.
+        self._controller = AdmissionController(
+            cache,
+            cache_backend=self.config.cache_backend,
+            cache_capacity=self.config.cache_capacity,
+            cache_path=self.config.cache_path,
+            fsync=self.config.fsync,
+            region_tier=region_tier,
+            region_backend=self.config.region_backend,
+            region_capacity=self.config.region_capacity,
+            region_path=self.config.region_path,
+            region_build_threshold=self.config.region_build_threshold,
+        )
+        self.metrics = self._controller.metrics  # fleet-wide aggregate
+        self.cache = self._controller.cache
+        self.regions = self._controller.regions
         self.ring = ShardRing(
             self.config.shards, replicas=self.config.ring_replicas
         )
@@ -391,25 +379,6 @@ class AdmissionFrontend:
         self._shards: list[_Shard] = []
         self._wait_pool: ThreadPoolExecutor | None = None
         self._started = False
-        # Surface warm-start damage (salvage/quarantine) in metrics so
-        # --stats shows it even when recovery succeeded silently.
-        self._absorb_store_health(self.cache)
-        self._absorb_store_health(
-            self.regions.store if self.regions is not None else None
-        )
-
-    def _absorb_store_health(self, store) -> None:
-        """Fold a backend's recovery/integrity state into the metrics."""
-        if store is None:
-            return
-        report = getattr(store, "last_recovery", None)
-        if report is not None and not report.clean:
-            self.metrics.record_recovery(
-                salvaged=report.salvaged, dropped=report.dropped
-            )
-        failures = getattr(store, "integrity_failures", 0)
-        if failures:
-            self.metrics.record_integrity_failure(failures)
 
     def _make_breaker(self, shard: _Shard) -> CircuitBreaker | None:
         if self.config.breaker_failures <= 0:
@@ -505,7 +474,7 @@ class AdmissionFrontend:
                     self._wait_pool.shutdown(
                         wait=False, cancel_futures=True
                     )
-                self._close_backends()
+                self._controller.close()
 
     def _shed_queue(self, shard: _Shard) -> None:
         """Resolve everything queued on ``shard`` as explicit sheds."""
@@ -531,19 +500,6 @@ class AdmissionFrontend:
                         "at drain",
                     )
                 )
-
-    def _close_backends(self) -> None:
-        """Close stores this frontend built (caller-passed ones are
-        the caller's to close); ``try/finally`` so one failure cannot
-        leak the other backend."""
-        try:
-            if self._owns_cache and self.cache is not None:
-                close = getattr(self.cache, "close", None)
-                if close is not None:
-                    close()
-        finally:
-            if self._owns_regions and self.regions is not None:
-                self.regions.close()
 
     async def __aenter__(self) -> "AdmissionFrontend":
         return await self.start()
@@ -835,9 +791,10 @@ class AdmissionFrontend:
         attempt = 0
         breaks = 0
         while True:
+            executor = shard.executor
             try:
                 computation = loop.run_in_executor(
-                    shard.executor, _shard_compute, (key, request)
+                    executor, _shard_compute, (key, request)
                 )
                 if config.job_timeout is not None:
                     _key, decision, _elapsed = await asyncio.wait_for(
@@ -851,12 +808,15 @@ class AdmissionFrontend:
                 self.metrics.record_timeout()
                 reason = f"timed out after {config.job_timeout:g} s"
             except BrokenProcessPool:
-                # The pool died under us; rebuild and resubmit without
-                # consuming this job's retry budget (bounded: a job
-                # that keeps riding pools down is the likely culprit).
-                shard.rebuild_executor()
-                shard.metrics.record_pool_rebuild()
-                self.metrics.record_pool_rebuild()
+                # The pool died under us; resubmit without consuming
+                # this job's retry budget (bounded: a job that keeps
+                # riding pools down is the likely culprit).  One break
+                # strands every in-flight job, so only the first to see
+                # it rebuilds and counts; the rest find a new pool.
+                if shard.executor is executor:
+                    shard.rebuild_executor()
+                    shard.metrics.record_pool_rebuild()
+                    self.metrics.record_pool_rebuild()
                 breaks += 1
                 if breaks <= config.max_retries + 1:
                     continue

@@ -15,11 +15,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.regions.region import FeasibilityRegion
 from repro.regions.store import (
-    REGION_BACKENDS,
+    REGION_STORES,
     MemoryRegionStore,
     SqliteRegionStore,
-    make_region_store,
 )
+from repro.service.store import STORE_BACKENDS, make_store
 
 
 def _region(tag: str, value=2.5) -> FeasibilityRegion:
@@ -179,18 +179,19 @@ class TestSqlite:
 
 class TestFactory:
     def test_backends_tuple_matches_factory(self):
-        assert REGION_BACKENDS == ("memory", "sqlite")
+        assert tuple(REGION_STORES) == STORE_BACKENDS
 
     def test_builds_each_backend(self, tmp_path):
         assert isinstance(
-            make_region_store("memory", capacity=2), MemoryRegionStore
+            make_store(REGION_STORES, "memory", capacity=2),
+            MemoryRegionStore,
         )
-        built = make_region_store(
-            "sqlite", capacity=2, path=tmp_path / "r.db"
+        built = make_store(
+            REGION_STORES, "sqlite", capacity=2, path=tmp_path / "r.db"
         )
         assert isinstance(built, SqliteRegionStore)
         built.close()
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown region store"):
-            make_region_store("redis")
+        with pytest.raises(ConfigurationError, match="unknown region"):
+            make_store(REGION_STORES, "redis")

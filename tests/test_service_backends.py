@@ -5,14 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.service.backends import (
-    CACHE_BACKENDS,
-    SqliteDecisionCache,
-    make_cache,
-)
+from repro.service.backends import DECISION_STORES, SqliteDecisionCache
 from repro.service.cache import DecisionCache
 from repro.service.engine import compute_decision
 from repro.service.requests import AdmissionRequest
+from repro.service.store import STORE_BACKENDS, make_store
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import generate_system
 
@@ -30,7 +27,7 @@ def _decision(seed: int):
 
 @pytest.fixture(params=["memory", "sqlite"])
 def cache(request):
-    built = make_cache(request.param, capacity=8)
+    built = make_store(DECISION_STORES, request.param, capacity=8)
     yield built
     if isinstance(built, SqliteDecisionCache):
         built.close()
@@ -142,13 +139,17 @@ class TestPersistenceInterop:
 
 class TestFactory:
     def test_known_backends(self):
-        assert CACHE_BACKENDS == ("memory", "sqlite")
-        assert isinstance(make_cache("memory"), DecisionCache)
-        assert isinstance(make_cache("sqlite"), SqliteDecisionCache)
+        assert STORE_BACKENDS == ("memory", "sqlite")
+        assert isinstance(
+            make_store(DECISION_STORES, "memory"), DecisionCache
+        )
+        assert isinstance(
+            make_store(DECISION_STORES, "sqlite"), SqliteDecisionCache
+        )
 
     def test_unknown_backend_is_an_error(self):
-        with pytest.raises(ConfigurationError):
-            make_cache("redis")
+        with pytest.raises(ConfigurationError, match="unknown cache"):
+            make_store(DECISION_STORES, "redis")
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -9,6 +9,7 @@ import pytest
 from repro.api import admit, admit_many
 from repro.cli import main
 from repro.io import save_system, system_to_dict
+from repro.regions.store import MemoryRegionStore
 from repro.service import DecisionCache
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import generate_system
@@ -125,6 +126,25 @@ class TestAdmitBatch:
         assert "admissions: 6 requests" in err
         assert "cache:" in err
 
+    def test_region_file_is_persisted(self, tmp_path, batch_jsonl, capsys):
+        """Regression: the controller's region store was never closed,
+        so ``--region-file`` stayed unwritten after reported builds."""
+        regions = tmp_path / "regions.jsonl"
+        command = [
+            "admit", "--jsonl", str(batch_jsonl),
+            "--region-backend", "memory",
+            "--region-file", str(regions),
+            "--region-build-threshold", "1",
+            "--stats",
+        ]
+        assert main(command) == 0
+        assert "6 builds" in capsys.readouterr().err
+        assert len(MemoryRegionStore(path=regions)) == 6
+        # A restart warm-starts from the file: no build, all shape hits.
+        assert main(command) == 0
+        err = capsys.readouterr().err
+        assert "0 builds" in err and "6 hits" in err
+
     def test_request_documents_carry_their_options(self, tmp_path, capsys):
         from repro.service import AdmissionRequest, request_to_dict
 
@@ -158,6 +178,21 @@ class TestAdmitBench:
         assert "cold cache:" in out
         assert "warm cache:" in out
         assert "speedup:" in out
+
+    def test_cache_file_is_persisted(self, tmp_path):
+        """Regression: ``--cache-file`` promised to persist back, but
+        the controller's cache was never saved or closed."""
+        cache_file = tmp_path / "cache.jsonl"
+        command = [
+            "admit-bench",
+            "--systems", "4",
+            "--tasks", "4",
+            "--processors", "3",
+            "--workers", "1",
+            "--cache-file", str(cache_file),
+        ]
+        assert main(command) == 0
+        assert len(DecisionCache(path=cache_file)) == 4
 
 
 class TestSuiteWorkers:

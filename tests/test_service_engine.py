@@ -123,7 +123,7 @@ class TestAdmissionController:
     def test_cached_equals_uncached(self, small_system):
         request = AdmissionRequest(system=small_system)
         controller = AdmissionController()
-        uncached = AdmissionController(enable_cache=False)
+        uncached = AdmissionController(cache_backend=None)
         first = controller.admit(request)
         second = controller.admit(request)  # served from cache
         assert first == second == uncached.admit(request)
@@ -173,5 +173,5 @@ class TestAdmissionController:
         assert "admissions: 1 requests" in text
         assert "entries" in text
         assert "disabled" in AdmissionController(
-            enable_cache=False
+            cache_backend=None
         ).describe()

@@ -8,6 +8,7 @@ deterministically without real workload pathology.
 
 from __future__ import annotations
 
+import asyncio
 import functools
 import multiprocessing
 import os
@@ -16,10 +17,12 @@ import time
 import pytest
 
 import repro.service.batch as batch_module
+import repro.service.frontend as frontend_module
 from repro.errors import ConfigurationError
 from repro.service.batch import admit_batch
 from repro.service.cache import DecisionCache
-from repro.service.engine import AdmissionController
+from repro.service.engine import AdmissionController, compute_decision
+from repro.service.frontend import AdmissionFrontend, FrontendConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import AdmissionRequest
 from repro.workload.config import WorkloadConfig
@@ -343,6 +346,71 @@ class TestBrokenPool:
         assert all(cache.get(d.key) is not None for d in survived)
 
 
+class TestFrontendBrokenPool:
+    """Regression: one pool break is one rebuild in the frontend.
+
+    A dying worker strands every job in flight on its pool.  Pre-fix,
+    each stranded coroutine rebuilt the pool and counted a rebuild --
+    tearing down the pool the previous coroutine had just resubmitted
+    to.  Post-fix only the coroutine that finds the broken pool still
+    installed rebuilds; the rest resubmit to its replacement.
+    """
+
+    @staticmethod
+    def _serve(requests, **options):
+        config = FrontendConfig(
+            executor="process",
+            workers_per_shard=4,
+            cache_backend=None,
+            retry_backoff=0.0,
+            **options,
+        )
+
+        async def run():
+            async with AdmissionFrontend(config) as frontend:
+                decisions = await asyncio.gather(
+                    *(frontend.admit(request) for request in requests)
+                )
+                return decisions, frontend.metrics.snapshot()
+
+        return asyncio.run(run())
+
+    def test_one_break_is_rebuilt_and_counted_once(
+        self, monkeypatch, tmp_path
+    ):
+        flag = tmp_path / "crashed"
+        monkeypatch.setattr(
+            frontend_module,
+            "_shard_compute",
+            functools.partial(_crash_once_job, str(flag), "r0"),
+        )
+        requests = _requests(8)
+        decisions, snapshot = self._serve(requests, max_retries=0)
+        assert flag.exists()  # the crash really happened
+        assert snapshot["pool_rebuilds"] == 1
+        assert snapshot["degraded"] == 0
+        for request, decision in zip(requests, decisions):
+            assert decision == compute_decision(request)
+
+    def test_pool_killer_still_fails_closed(self, monkeypatch):
+        # The killer counts every break it rides, so it degrades after
+        # max_retries + 2 of them -- one rebuild each.
+        monkeypatch.setattr(
+            frontend_module,
+            "_shard_compute",
+            functools.partial(_always_crash_job, "r0"),
+        )
+        requests = _requests(4)
+        decisions, snapshot = self._serve(requests, max_retries=0)
+        killer = decisions[0]
+        assert killer.rationale.startswith("service degraded:")
+        assert "worker pool broke 2 time(s)" in killer.rationale
+        assert snapshot["pool_rebuilds"] == 2
+        for request, decision in zip(requests[1:], decisions[1:]):
+            if not decision.rationale.startswith("service degraded:"):
+                assert decision == compute_decision(request)
+
+
 class TestSchedulerWakeup:
     """Regression: no oversleep past a backoff deadline, no busy-wait."""
 
@@ -395,7 +463,7 @@ class TestControllerPassthrough:
         monkeypatch.setattr(
             batch_module, "_compute_job", _hang_on("r0")
         )
-        controller = AdmissionController(enable_cache=False)
+        controller = AdmissionController(cache_backend=None)
         decisions = controller.admit_batch(
             _requests(2),
             workers=2,
