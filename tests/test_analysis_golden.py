@@ -7,6 +7,10 @@ the schedulability analyses on a fixed set of systems:
 * corners of the Fig. 12 grid -- light (2, 50%) and heavy (8, 90%)
   configurations at the paper's 12 tasks / 4 processors, the heavy ones
   including systems on which SA/DS trips its failure cutoff;
+* paper-size cells on which SA/DS runs many IEERT passes -- (3, 70%)
+  and (5, 70%) converging after 9-20 passes, (8, 80%) tripping the
+  cutoff after 44 -- so every pass's busy periods and completions feed
+  the frozen bounds;
 * generated systems carrying critical sections (``repro.locks``).
 
 Each system gets one JSON file (``<case>.json``) with one entry per
@@ -51,6 +55,10 @@ TIMEBASES = ("float", "exact")
 #: Fig. 12 grid corners: (subtasks per task, utilization %, seed).
 GRID_POINTS = ((2, 50, 1), (2, 50, 2), (8, 90, 1), (8, 90, 2))
 
+#: Paper-size cells that run many IEERT passes: (subtasks, utilization %,
+#: seed).
+MULTIPASS_POINTS = ((5, 70, 1), (5, 70, 2), (3, 70, 1), (8, 80, 1))
+
 #: Systems with critical sections: (subtasks, utilization %, seed, ratio).
 LOCK_POINTS = ((3, 60, 1, 0.2), (3, 60, 2, 0.3))
 
@@ -80,7 +88,7 @@ def _lock_system(n: int, u_pct: int, seed: int, ratio: float):
 def corpus_systems() -> dict:
     """Case name -> system, in a stable order."""
     systems = {"example2": example_two()}
-    for n, u_pct, seed in GRID_POINTS:
+    for n, u_pct, seed in GRID_POINTS + MULTIPASS_POINTS:
         systems[f"n{n}_u{u_pct}_seed{seed}"] = _grid_system(n, u_pct, seed)
     for n, u_pct, seed, ratio in LOCK_POINTS:
         name = f"locks_n{n}_u{u_pct}_seed{seed}"
