@@ -21,6 +21,7 @@ from repro.core.analysis.busy_period import (
     CompiledSystem,
     SubtaskBusyPeriod,
     busy_period_kernel,
+    compiled_for,
 )
 
 # Unused here, but kept bound at this module's name: the benchmark's
@@ -40,6 +41,7 @@ def sa_pm_subtask_details(
     *,
     jitter: Mapping[SubtaskId, float] | None = None,
     timebase: Timebase | str = FLOAT,
+    compiled: CompiledSystem | None = None,
 ) -> dict[SubtaskId, SubtaskBusyPeriod]:
     """Steps 1-4 for every subtask: full busy-period records.
 
@@ -49,12 +51,14 @@ def sa_pm_subtask_details(
     applied to the analyzed subtask's own releases, which stay strictly
     periodic under PM/MPM/RG.  An infinite blocking term short-circuits
     to a diverged record (the exact backend cannot represent infinite
-    demand).
+    demand).  ``compiled`` is ``system`` already compiled in
+    ``timebase``, when the caller shares one compilation between
+    analyses.
     """
     blocking = blocking or {}
     jitter = jitter or {}
     timebase = get_timebase(timebase)
-    compiled = CompiledSystem(system, timebase)
+    compiled = compiled_for(system, timebase, compiled)
     inter_jitter = [
         timebase.convert(jitter.get(sid, 0)) for sid in compiled.sids
     ]
@@ -90,6 +94,7 @@ def analyze_sa_pm(
     blocking: Mapping[SubtaskId, float] | None = None,
     jitter: Mapping[SubtaskId, float] | None = None,
     timebase: Timebase | str = FLOAT,
+    compiled: CompiledSystem | None = None,
 ) -> AnalysisResult:
     """Run Algorithm SA/PM over a system.
 
@@ -106,11 +111,12 @@ def analyze_sa_pm(
     (suspension-as-jitter for lock-induced deferrals, see
     :func:`sa_pm_subtask_details`).  Under the exact ``timebase`` the
     bounds come out as scaled integers/rationals and the EER sums are
-    exact.
+    exact.  ``compiled`` shares a compilation of ``system`` (see
+    :func:`sa_pm_subtask_details`).
     """
     timebase = get_timebase(timebase)
     details = sa_pm_subtask_details(
-        system, blocking, jitter=jitter, timebase=timebase
+        system, blocking, jitter=jitter, timebase=timebase, compiled=compiled
     )
     subtask_bounds = {
         sid: (math.inf if record.bound is None else record.bound)

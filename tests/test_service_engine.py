@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.analysis.busy_period import CompiledSystem
 from repro.errors import ConfigurationError
 from repro.service.cache import DecisionCache
 from repro.service.engine import AdmissionController, compute_decision
@@ -109,6 +110,28 @@ class TestComputeDecision:
         )
         assert "SA/PM-skew" not in decision.task_bounds
         assert decision.schedulable["PM"] is True
+
+    def test_analyses_share_one_compilation(
+        self, small_system, monkeypatch
+    ):
+        """SA/PM, SA/DS and skew-aware SA/PM run on one compiled system."""
+        uncounted = compute_decision(
+            AdmissionRequest(system=small_system, clock_rate_bound=1e-4)
+        )
+        compilations = []
+        compile_system = CompiledSystem.__init__
+
+        def counted(self, *args, **kwargs):
+            compilations.append(args[0])
+            compile_system(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledSystem, "__init__", counted)
+        decision = compute_decision(
+            AdmissionRequest(system=small_system, clock_rate_bound=1e-4)
+        )
+        assert compilations == [small_system]
+        assert "SA/PM-skew" in decision.task_bounds
+        assert decision == uncounted
 
     def test_unknown_protocol_rejected(self, two_stage_pipeline):
         with pytest.raises(ConfigurationError):
