@@ -326,7 +326,7 @@ def _add_admission_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--job-timeout", type=float, default=None,
-        help="wall-clock seconds per pooled decision; overruns are "
+        help="wall-clock seconds per decision attempt; overruns are "
         "retried, then degraded to a REJECT (default: unlimited)",
     )
     parser.add_argument(

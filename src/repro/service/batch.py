@@ -1,4 +1,4 @@
-"""Batch admission: fan cache misses over a process pool.
+"""Batch admission, and the one retry ladder every cache miss runs.
 
 Mirrors the idiom of :mod:`repro.experiments.parallel`: jobs are pure
 functions of picklable inputs, and all randomness-free computation makes
@@ -14,16 +14,12 @@ layer
   a key computes it, later batches wait for the published decision
   instead of recomputing -- and fall back to computing for themselves
   if the leader could not publish, so coalescing can never wedge,
-* polices the pool: a job may be bounded by a wall-clock ``job_timeout``
-  and is retried (with exponential backoff) when it times out, raises,
-  or loses its worker process -- after ``max_retries`` failed attempts
-  the batch *degrades* that one decision to a safe REJECT instead of
-  hanging or failing the whole batch.  A *broken pool* (a worker
-  process died) is rebuilt once per break and the jobs stranded on it
-  are resubmitted **without** consuming their retry budget -- the break
-  is the pool's failure, not theirs; only a job that rides the pool
-  down repeatedly (more than ``max_retries + 1`` breaks) is treated as
-  the culprit and failed closed, and
+* decides every miss through :func:`compute_miss` on a
+  :class:`ComputePool` -- the same ladder the frontend shards use: a
+  per-attempt ``job_timeout``, retries with exponential backoff, a
+  broken process pool rebuilt without charging the jobs stranded on
+  it, and a fail-closed degraded REJECT when the ladder is exhausted,
+  and
 * reassembles decisions in request order, so output is deterministic
   with caching on, off, or warm-started from disk.
 
@@ -33,14 +29,15 @@ computation from scratch.
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import math
 import os
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.service.cache import DecisionCache, SingleFlight
@@ -62,20 +59,22 @@ def _compute_job(
     return key, decision, time.perf_counter() - started
 
 
-def _degraded_decision(
-    request: AdmissionRequest, key: str, reason: str
+def refusal(
+    request: AdmissionRequest, key: str, kind: str, reason: str
 ) -> AdmissionDecision:
-    """A safe REJECT standing in for a decision the pool never produced.
+    """A fail-closed REJECT with rationale ``service <kind>: <reason>``.
 
-    Admission control must fail *closed*: a system whose analysis could
-    not be completed is not certified, so it is not admitted.  The
-    rationale carries the failure so callers can distinguish a degraded
-    verdict from an analytical rejection and retry later.
+    ``kind`` is ``"degraded"`` when the analysis could not be completed
+    and ``"shed"`` when the service refused the work (quota, full queue,
+    drain).  Admission control fails *closed*: a system whose analysis
+    did not complete is not certified, so it is not admitted.  The
+    prefix lets callers tell either from an analytical rejection and
+    retry later; refusals are never cached.
     """
     return AdmissionDecision(
         admitted=False,
         protocol=None,
-        rationale=f"service degraded: {reason}",
+        rationale=f"service {kind}: {reason}",
         schedulable={p: False for p in request.protocols},
         task_bounds={},
         worst_bound_ratio=math.inf,
@@ -85,273 +84,193 @@ def _degraded_decision(
     )
 
 
-def _compute_serial(
-    key: str,
-    request: AdmissionRequest,
-    *,
-    max_retries: int,
-    retry_backoff: float,
-    metrics: ServiceMetrics | None,
-) -> tuple[AdmissionDecision, float, bool]:
-    """In-process attempt ladder: (decision, seconds, degraded?).
-
-    No pool means no timeout enforcement (a thread cannot interrupt its
-    own computation); only the retry/degrade ladder applies.
-    """
-    attempt = 0
-    while True:
-        started = time.perf_counter()
-        try:
-            _key, decision, elapsed = _compute_job((key, request))
-            return decision, elapsed, False
-        except Exception as exc:  # noqa: BLE001 - degrade, don't crash
-            if attempt >= max_retries:
-                return (
-                    _degraded_decision(
-                        request,
-                        key,
-                        f"computation failed after {attempt + 1} "
-                        f"attempt(s): {exc}",
-                    ),
-                    time.perf_counter() - started,
-                    True,
-                )
-            attempt += 1
-            if metrics is not None:
-                metrics.record_retry()
-            if retry_backoff:
-                time.sleep(retry_backoff * (2 ** (attempt - 1)))
-
-
-def _next_wakeup(
-    queue: deque[tuple[str, int, float]],
-    in_flight: Mapping,
-    job_timeout: float | None,
-    now: float,
-    *,
-    capacity: int,
-) -> float | None:
-    """Seconds until the earliest scheduler deadline, or None when idle.
-
-    Two deadline families feed the wakeup:
-
-    * queued jobs' resubmission instants -- but only when ``capacity``
-      slots are free to actually submit into (with a full window an
-      expired backoff deadline is unactionable, and honouring it would
-      busy-spin ``wait(timeout=0)`` until a worker finished), and
-    * in-flight jobs' ``job_timeout`` expiries.
-
-    Expired instants count, clamping the result to 0.0 (wake *now*).
-    The pre-fix code instead filtered expired instants out of the
-    wakeup set, so when the clock ticked past a backoff deadline
-    between the submission scan and this computation, the scheduler
-    slept until the *next* deadline -- oversleeping the expired one by
-    an arbitrary margin.
-    """
-    deadlines = (
-        [not_before for (_key, _attempt, not_before) in queue]
-        if capacity > 0
-        else []
-    )
-    if job_timeout is not None:
-        deadlines.extend(
-            submitted + job_timeout
-            for (_key, _attempt, submitted) in in_flight.values()
+def check_ladder_knobs(
+    job_timeout: float | None, max_retries: int, retry_backoff: float
+) -> None:
+    """Reject retry-ladder settings (``admit_batch`` and the frontend)."""
+    if job_timeout is not None and not (
+        job_timeout > 0 and math.isfinite(job_timeout)
+    ):
+        raise ConfigurationError(
+            f"job_timeout must be finite and > 0, got {job_timeout!r}"
         )
-    if not deadlines:
-        return None
-    return max(0.0, min(deadlines) - now)
+    if max_retries < 0:
+        raise ConfigurationError(
+            f"max_retries must be >= 0, got {max_retries}"
+        )
+    if retry_backoff < 0 or not math.isfinite(retry_backoff):
+        raise ConfigurationError(
+            f"retry_backoff must be finite and >= 0, got {retry_backoff!r}"
+        )
 
 
-def _compute_pooled(
-    jobs: Mapping[str, AdmissionRequest],
-    *,
-    worker_count: int,
-    job_timeout: float | None,
-    max_retries: int,
-    retry_backoff: float,
-    metrics: ServiceMetrics | None,
-) -> dict[str, tuple[AdmissionDecision, float, bool]]:
-    """Pool scheduler with per-job deadlines and a bounded retry queue.
+class ComputePool:
+    """A thread or process executor behind the retry ladder's gate.
 
-    Jobs are submitted at most ``worker_count`` at a time so a job's
-    submission instant approximates its start instant -- that is what
-    makes the wall-clock ``job_timeout`` meaningful.  A timed-out
-    future cannot be interrupted (the worker may be wedged in native
-    code); it is *abandoned*: dropped from tracking, its slot written
-    off, and the job resubmitted or degraded.
-
-    A broken pool (worker process died) is rebuilt once per break and
-    every job stranded on it -- in flight or mid-submission -- is
-    resubmitted at its *current* attempt count: a pool break is the
-    pool's failure, not the job's, so it never consumes retry budget.
-    A job that has ridden a break down is a suspect and from then on
-    runs alone, so any further break is its own.  Only a job present
-    at more than ``max_retries + 1`` breaks is treated as the culprit
-    (it keeps killing its worker) and failed closed; an innocent job
-    stranded next to it is charged one break at most.
+    At most ``max(1, width - abandoned)`` computations run at once, so
+    a job's submission instant is its start instant and ``job_timeout``
+    (counted from submission) means what it says.  A timed-out
+    computation cannot be interrupted -- it may be wedged in native
+    code -- so it is *abandoned*: its slot comes back only when it
+    really ends.  A job run ``alone`` waits until nothing else runs,
+    and no other job starts while it waits or runs.  A broken process
+    pool is replaced once per break, by the first job to find the
+    broken executor still installed, and counted once in ``sinks``.
     """
-    outcomes: dict[str, tuple[AdmissionDecision, float, bool]] = {}
-    #: (key, attempt, earliest resubmission instant) awaiting a slot.
-    queue: deque[tuple[str, int, float]] = deque(
-        (key, 0, 0.0) for key in jobs
-    )
-    #: future -> (key, attempt, submission instant).
-    in_flight: dict = {}
-    abandoned = 0  # slots still occupied by timed-out computations
-    breaks: dict[str, int] = {}  # pool breaks each key has ridden down
 
-    def resolve_failure(key: str, attempt: int, reason: str) -> None:
-        if attempt >= max_retries:
-            outcomes[key] = (
-                _degraded_decision(
-                    jobs[key],
-                    key,
-                    f"{reason} (after {attempt + 1} attempt(s))",
-                ),
-                0.0,
-                True,
-            )
-            return
-        if metrics is not None:
-            metrics.record_retry()
-        delay = retry_backoff * (2 ** attempt) if retry_backoff else 0.0
-        queue.append((key, attempt + 1, time.monotonic() + delay))
+    def __init__(
+        self,
+        kind: str,
+        width: int,
+        *,
+        name: str,
+        sinks: Sequence[ServiceMetrics],
+        job_timeout: float | None,
+        max_retries: int,
+        retry_backoff: float,
+    ) -> None:
+        self.kind = kind
+        self.width = width
+        self.name = name
+        self.sinks = tuple(sinks)
+        self.job_timeout = job_timeout
+        self.max_retries = max_retries
+        self.retry_backoff = retry_backoff
+        self.executor = self._make_executor()
+        self._running = 0
+        self._alone = 0  # jobs run alone, waiting or running
+        self._abandoned: set[asyncio.Future] = set()
+        self._waiters: list[asyncio.Future] = []
 
-    pool = ProcessPoolExecutor(max_workers=worker_count)
-    try:
-        while queue or in_flight:
-            broken = False
-            #: jobs whose future died with the pool, not on their own.
-            stranded: list[tuple[str, int]] = []
+    def _make_executor(self):
+        if self.kind == "process":
+            return ProcessPoolExecutor(max_workers=self.width)
+        return ThreadPoolExecutor(
+            max_workers=self.width, thread_name_prefix=self.name
+        )
 
-            # Keep the live part of the pool full; respect backoff.  A
-            # suspect (see above) waits for an empty pool and then runs
-            # alone.
-            window = max(1, worker_count - abandoned)
-            now = time.monotonic()
-            backing_off: deque[tuple[str, int, float]] = deque()
-            solo = any(breaks.get(k) for k, _a, _s in in_flight.values())
-            while queue and len(in_flight) < window and not solo:
-                key, attempt, not_before = queue.popleft()
-                if now < not_before or (breaks.get(key) and in_flight):
-                    backing_off.append((key, attempt, not_before))
-                    continue
-                solo = bool(breaks.get(key))
-                try:
-                    future = pool.submit(_compute_job, (key, jobs[key]))
-                except BrokenProcessPool:
-                    # Submitting against a dead pool is not the job's
-                    # failure: keep it queued untouched and rebuild.
-                    backing_off.append((key, attempt, not_before))
-                    broken = True
-                    break
-                in_flight[future] = (key, attempt, time.monotonic())
-            queue.extend(backing_off)
+    def shutdown(self) -> None:
+        self.executor.shutdown(wait=False, cancel_futures=True)
 
-            if not broken:
-                # Block until a completion, a deadline, or a backoff
-                # expiry -- whichever comes first.
-                now = time.monotonic()
-                timeout = _next_wakeup(
-                    # Suspects cannot start until the pool drains.
-                    deque(
-                        item
-                        for item in queue
-                        if not (breaks.get(item[0]) and in_flight)
-                    ),
-                    in_flight,
-                    job_timeout,
-                    now,
-                    capacity=0 if solo else window - len(in_flight),
+    def _may_start(self, alone: bool) -> bool:
+        if alone:
+            return self._running == 0
+        return not self._alone and self._running < max(
+            1, self.width - len(self._abandoned)
+        )
+
+    def _wake(self) -> None:
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    def _release(self, alone: bool) -> None:
+        self._running -= 1
+        self._alone -= alone
+        self._wake()
+
+    def _settle(self, alone: bool, future: asyncio.Future) -> None:
+        """A computation really ended: its slot comes back."""
+        if future in self._abandoned:
+            self._abandoned.discard(future)
+            self._wake()
+        else:
+            self._release(alone)
+        if not future.cancelled():
+            future.exception()  # an abandoned failure is not news
+
+    async def run(self, fn: Callable, job, *, alone: bool):
+        """``fn(job)`` in a free slot; ``None`` when a pool break
+        stranded it.
+
+        Raises :class:`asyncio.TimeoutError` when ``job_timeout`` passes
+        first (the computation is abandoned), and whatever ``fn``
+        raised.  A job that finds the pool already dead is resubmitted
+        to its replacement: it rode no break.
+        """
+        self._alone += alone
+        try:
+            while not self._may_start(alone):
+                waiter = asyncio.get_running_loop().create_future()
+                self._waiters.append(waiter)
+                await waiter
+        except BaseException:
+            self._alone -= alone
+            self._wake()
+            raise
+        self._running += 1
+        while True:
+            executor, work = self.executor, None
+            try:
+                work = executor.submit(fn, job)
+                future = asyncio.wrap_future(work)
+                future.add_done_callback(
+                    functools.partial(self._settle, alone)
                 )
-                if in_flight:
-                    done, _ = wait(
-                        set(in_flight),
-                        timeout=timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                else:
-                    done = set()
-                    if timeout is not None and timeout > 0.0:
-                        time.sleep(timeout)
+                done, _ = await asyncio.wait(
+                    (future,), timeout=self.job_timeout
+                )
+                if not done:
+                    if not work.cancel():  # already running
+                        self._abandoned.add(future)
+                        self._release(alone)
+                    raise asyncio.TimeoutError
+                return future.result()
+            except BrokenProcessPool:
+                if self.executor is executor:
+                    executor.shutdown(wait=False)
+                    self.executor = self._make_executor()
+                    for sink in self.sinks:
+                        sink.record_pool_rebuild()
+                if work is not None:
+                    return None
+            except BaseException:
+                if work is None:
+                    self._release(alone)
+                raise
 
-                for future in done:
-                    key, attempt, _sub = in_flight.pop(future)
-                    try:
-                        _key, decision, elapsed = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        stranded.append((key, attempt))
-                    except Exception as exc:  # noqa: BLE001 - degrade
-                        resolve_failure(
-                            key, attempt, f"computation failed: {exc}"
-                        )
-                    else:
-                        outcomes[key] = (decision, elapsed, False)
 
-                if not broken and job_timeout is not None:
-                    now = time.monotonic()
-                    overdue = [
-                        future
-                        for future, (_k, _a, sub) in in_flight.items()
-                        if now - sub >= job_timeout
-                    ]
-                    for future in overdue:
-                        key, attempt, _sub = in_flight.pop(future)
-                        if not future.cancel():
-                            # Already running: the worker stays busy
-                            # until (if ever) it finishes; write the
-                            # slot off.
-                            abandoned += 1
-                        if metrics is not None:
-                            metrics.record_timeout()
-                        resolve_failure(
-                            key,
-                            attempt,
-                            f"timed out after {job_timeout:g} s",
-                        )
+async def compute_miss(
+    pool: ComputePool, fn: Callable, key: str, request: AdmissionRequest
+) -> tuple[AdmissionDecision, float, bool]:
+    """The retry ladder: (decision, seconds computing, degraded?).
 
-            if broken:
-                # Rebuild once, resubmit every stranded job at its
-                # current attempt -- the break consumed no retry budget.
-                # Results that finished before the break are still good.
-                for future, (key, attempt, _sub) in in_flight.items():
-                    if future.done():
-                        try:
-                            _key, decision, elapsed = future.result()
-                        except Exception:  # noqa: BLE001 - died with pool
-                            stranded.append((key, attempt))
-                        else:
-                            outcomes[key] = (decision, elapsed, False)
-                            continue
-                    else:
-                        stranded.append((key, attempt))
-                in_flight.clear()
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=worker_count)
-                abandoned = 0
-                if metrics is not None:
-                    metrics.record_pool_rebuild()
-                for key, attempt in stranded:
-                    count = breaks.get(key, 0) + 1
-                    breaks[key] = count
-                    if count > max_retries + 1:
-                        outcomes[key] = (
-                            _degraded_decision(
-                                jobs[key],
-                                key,
-                                f"worker pool broke {count} time(s) "
-                                "under this job",
-                            ),
-                            0.0,
-                            True,
-                        )
-                    else:
-                        queue.append((key, attempt, 0.0))
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return outcomes
+    Every cache miss, batch or frontend, is decided here.  A raised
+    exception or a timeout is retried up to ``pool.max_retries`` times,
+    after ``retry_backoff * 2**(attempt - 1)`` seconds.  A pool break is
+    the pool's failure, not the job's: it costs no retry, but the job
+    then runs alone, so any further break is its own, and it fails
+    closed once it has ridden more than ``max_retries + 1`` breaks.  An
+    exhausted ladder yields a degraded REJECT (see :func:`refusal`).
+    """
+    attempt = breaks = 0
+    while True:
+        try:
+            result = await pool.run(fn, (key, request), alone=breaks > 0)
+        except asyncio.TimeoutError:
+            for sink in pool.sinks:
+                sink.record_timeout()
+            reason = f"timed out after {pool.job_timeout:g} s"
+        except Exception as exc:  # noqa: BLE001 - retry, then fail closed
+            reason = f"computation failed: {exc}"
+        else:
+            if result is not None:
+                _key, decision, elapsed = result
+                return decision, elapsed, False
+            breaks += 1
+            if breaks <= pool.max_retries + 1:
+                continue
+            reason = f"worker pool broke {breaks} time(s) under this job"
+            return refusal(request, key, "degraded", reason), 0.0, True
+        if attempt >= pool.max_retries:
+            reason = f"{reason} (after {attempt + 1} attempt(s))"
+            return refusal(request, key, "degraded", reason), 0.0, True
+        attempt += 1
+        for sink in pool.sinks:
+            sink.record_retry()
+        if pool.retry_backoff:
+            await asyncio.sleep(pool.retry_backoff * 2 ** (attempt - 1))
 
 
 def admit_batch(
@@ -367,44 +286,32 @@ def admit_batch(
 ) -> list[AdmissionDecision]:
     """Decide a batch of requests; returns decisions in request order.
 
-    ``workers`` defaults to the CPU count; ``workers=1`` computes in
-    process (no pool), which is fastest for small batches.  Duplicate
-    request content inside the batch is computed once and accounted as
-    cache hits for the duplicates; duplicate content across
-    *concurrent* batches sharing one cache is computed once too, via
-    the cache's single-flight table (waiters are accounted as hits and
-    counted on ``ServiceMetrics.coalesced``).  ``progress`` (when
-    given) receives one line per computed (non-cached) decision.
+    ``workers`` defaults to the CPU count.  Misses run on a process
+    pool of that width when ``workers > 1`` and there is more than one
+    to compute or a ``job_timeout``; otherwise on one thread, which is
+    fastest for small batches.  Duplicate request content inside the
+    batch is computed once and accounted as cache hits for the
+    duplicates; duplicate content across *concurrent* batches sharing
+    one cache is computed once too, via the cache's single-flight table
+    (waiters are accounted as hits and counted on
+    ``ServiceMetrics.coalesced``).  ``progress`` (when given) receives
+    one line per computed (non-cached) decision.
 
-    ``job_timeout`` bounds the wall-clock seconds any one decision may
-    take on the pool; a job that exceeds it is abandoned (the hung
-    worker is written off) and resubmitted.  Any failed attempt --
-    timeout, raised exception, dead worker -- is retried up to
-    ``max_retries`` times with exponential backoff starting at
-    ``retry_backoff`` seconds; a job that exhausts its ladder yields a
-    *degraded* REJECT decision (rationale prefixed
-    ``service degraded:``) rather than hanging or failing the batch.
-    Degraded decisions are never cached.  Timeout enforcement needs the
-    pool: with ``workers=1`` only the retry/degrade ladder applies.
+    Every miss runs through :func:`compute_miss`: ``job_timeout``
+    bounds the wall-clock seconds any one attempt may take, and a
+    failed attempt is retried up to ``max_retries`` times with
+    exponential backoff starting at ``retry_backoff`` seconds.  A job
+    that exhausts its ladder yields a *degraded* REJECT decision
+    (rationale prefixed ``service degraded:``) rather than hanging or
+    failing the batch.  Degraded decisions are never cached.  The
+    ladder runs in :func:`asyncio.run`, so this function must not be
+    called from a running event loop.
     """
     request_list = list(requests)
     worker_count = workers if workers is not None else (os.cpu_count() or 1)
     if worker_count < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if job_timeout is not None and not (
-        job_timeout > 0 and math.isfinite(job_timeout)
-    ):
-        raise ConfigurationError(
-            f"job_timeout must be finite and > 0, got {job_timeout!r}"
-        )
-    if max_retries < 0:
-        raise ConfigurationError(
-            f"max_retries must be >= 0, got {max_retries}"
-        )
-    if retry_backoff < 0 or not math.isfinite(retry_backoff):
-        raise ConfigurationError(
-            f"retry_backoff must be finite and >= 0, got {retry_backoff!r}"
-        )
+    check_ladder_knobs(job_timeout, max_retries, retry_backoff)
     if not request_list:
         return []
 
@@ -452,65 +359,66 @@ def admit_batch(
                 awaited[key] = flight
 
     outcomes: dict[str, tuple[AdmissionDecision, float, bool]] = {}
-    if owned:
-        try:
-            if worker_count == 1 or (
-                len(owned) == 1 and job_timeout is None
-            ):
-                for key, request in owned.items():
-                    outcomes[key] = _compute_serial(
-                        key,
-                        request,
-                        max_retries=max_retries,
-                        retry_backoff=retry_backoff,
-                        metrics=metrics,
-                    )
-            else:
-                outcomes = _compute_pooled(
-                    owned,
-                    worker_count=worker_count,
-                    job_timeout=job_timeout,
-                    max_retries=max_retries,
-                    retry_backoff=retry_backoff,
-                    metrics=metrics,
-                )
-        finally:
-            # The leader MUST publish every claimed key, decisions and
-            # failures alike, or waiters would block forever.
-            if flights is not None:
-                for key in owned:
-                    outcome = outcomes.get(key)
-                    if outcome is None:
-                        flights.finish(key, None)
-                    else:
-                        flights.finish(
-                            key, outcome[0], degraded=outcome[2]
-                        )
-
     coalesced: set[str] = set()
-    for key, flight in awaited.items():
-        started = time.perf_counter()
-        decision, degraded = SingleFlight.wait(flight)
-        if decision is None:
-            # The leader finished without publishing a decision (its
-            # batch died mid-compute); fall back to computing locally
-            # rather than failing or waiting forever.
-            outcomes[key] = _compute_serial(
-                key,
-                jobs[key],
-                max_retries=max_retries,
-                retry_backoff=retry_backoff,
-                metrics=metrics,
-            )
-        else:
-            outcomes[key] = (
-                decision,
-                time.perf_counter() - started,
-                degraded,
-            )
-            coalesced.add(key)
-            if metrics is not None:
-                metrics.record_coalesced()
+
+    async def decide_misses() -> None:
+        process = worker_count > 1 and (
+            len(owned) > 1 or job_timeout is not None
+        )
+        pool = ComputePool(
+            "process" if process else "thread",
+            worker_count if process else 1,
+            name="repro-batch",
+            sinks=() if metrics is None else (metrics,),
+            job_timeout=job_timeout,
+            max_retries=max_retries,
+            retry_backoff=retry_backoff,
+        )
+        try:
+            try:
+                decided = await asyncio.gather(
+                    *(
+                        compute_miss(pool, _compute_job, key, request)
+                        for key, request in owned.items()
+                    )
+                )
+                outcomes.update(zip(owned, decided))
+            finally:
+                # The leader MUST publish every claimed key, decisions
+                # and failures alike, or waiters would block forever.
+                if flights is not None:
+                    for key in owned:
+                        decision, _elapsed, degraded = outcomes.get(
+                            key, (None, 0.0, False)
+                        )
+                        flights.finish(key, decision, degraded=degraded)
+            for key, flight in awaited.items():
+                started = time.perf_counter()
+                decision, degraded = await asyncio.to_thread(
+                    SingleFlight.wait, flight
+                )
+                if decision is None:
+                    # The leader finished without publishing a decision
+                    # (its batch died mid-compute); fall back to
+                    # computing locally rather than failing or waiting
+                    # forever.
+                    outcomes[key] = await compute_miss(
+                        pool, _compute_job, key, jobs[key]
+                    )
+                else:
+                    outcomes[key] = (
+                        decision,
+                        time.perf_counter() - started,
+                        degraded,
+                    )
+                    coalesced.add(key)
+                    if metrics is not None:
+                        metrics.record_coalesced()
+        finally:
+            pool.shutdown()
+
+    if jobs:
+        asyncio.run(decide_misses())
 
     computed = 0
     for key in pending:

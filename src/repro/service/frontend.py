@@ -15,10 +15,11 @@ runs one event loop; inside it,
   request's content hash -- identical content always lands on the same
   shard, which keeps that shard's slice of the cache hot and lets the
   cache's single-flight table collapse concurrent duplicates,
-* each shard computes misses on its own executor (``"thread"`` or
+* each shard computes misses on its own
+  :class:`~repro.service.batch.ComputePool` (``"thread"`` or
   ``"process"``; processes sidestep the GIL for CPU-bound analysis,
-  threads are cheaper and overlap stall-bound work), policed by the
-  same **retry-ladder / degraded-REJECT machinery** as the batch path:
+  threads are cheaper and overlap stall-bound work) through the batch
+  path's own retry ladder, :func:`~repro.service.batch.compute_miss`:
   per-job timeout, ``max_retries`` with exponential backoff, a broken
   process pool rebuilt without charging the stranded job's budget, and
   a final fail-closed degraded REJECT,
@@ -37,14 +38,19 @@ import asyncio
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
 from repro.errors import ConfigurationError, ReproError
-from repro.service.batch import _compute_job, _degraded_decision
+from repro.service.batch import (
+    ComputePool,
+    _compute_job,
+    check_ladder_knobs,
+    compute_miss,
+    refusal,
+)
 from repro.service.cache import SingleFlight
 from repro.service.durability import FSYNC_POLICIES
 from repro.service.engine import AdmissionController
@@ -209,24 +215,9 @@ class FrontendConfig:
                 f"unknown cache backend {self.cache_backend!r}; "
                 f"expected one of {'/'.join(STORE_BACKENDS)} or None"
             )
-        if self.job_timeout is not None and not (
-            self.job_timeout > 0 and math.isfinite(self.job_timeout)
-        ):
-            raise ConfigurationError(
-                f"job_timeout must be finite and > 0, "
-                f"got {self.job_timeout!r}"
-            )
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.retry_backoff < 0 or not math.isfinite(
-            self.retry_backoff
-        ):
-            raise ConfigurationError(
-                f"retry_backoff must be finite and >= 0, "
-                f"got {self.retry_backoff!r}"
-            )
+        check_ladder_knobs(
+            self.job_timeout, self.max_retries, self.retry_backoff
+        )
         if self.region_backend is not None and (
             self.region_backend not in STORE_BACKENDS
         ):
@@ -263,60 +254,28 @@ class FrontendConfig:
             )
 
 
-def _shed_decision(
-    request: AdmissionRequest, key: str, reason: str
-) -> AdmissionDecision:
-    """An explicit 429-style refusal: not admitted, not analyzed.
-
-    Sheds fail closed like degraded decisions but carry their own
-    rationale prefix (``service shed:``) so callers can tell "try
-    again later, you were rate-limited" from "the analysis could not
-    be completed".  Never cached.
-    """
-    return AdmissionDecision(
-        admitted=False,
-        protocol=None,
-        rationale=f"service shed: {reason}",
-        schedulable={p: False for p in request.protocols},
-        task_bounds={},
-        worst_bound_ratio=math.inf,
-        key=key,
-        system_name=request.system.name,
-        request_id=request.request_id,
-    )
-
-
 class _Shard:
-    """One worker shard: bounded queue + executor + metrics + breaker."""
+    """One worker shard: bounded queue + compute pool + metrics + breaker."""
 
-    def __init__(self, index: int, config: FrontendConfig) -> None:
+    def __init__(
+        self, index: int, config: FrontendConfig, fleet: ServiceMetrics
+    ) -> None:
         self.index = index
-        self.config = config
         self.queue: asyncio.Queue = asyncio.Queue(
             maxsize=config.queue_capacity
         )
         self.metrics = ServiceMetrics()
-        self.executor = self._make_executor()
+        self.pool = ComputePool(
+            config.executor,
+            config.workers_per_shard,
+            name=f"repro-shard-{index}",
+            sinks=(self.metrics, fleet),
+            job_timeout=config.job_timeout,
+            max_retries=config.max_retries,
+            retry_backoff=config.retry_backoff,
+        )
         self.workers: list[asyncio.Task] = []
         self.breaker: CircuitBreaker | None = None  # set by the frontend
-
-    def _make_executor(self):
-        if self.config.executor == "process":
-            return ProcessPoolExecutor(
-                max_workers=self.config.workers_per_shard
-            )
-        return ThreadPoolExecutor(
-            max_workers=self.config.workers_per_shard,
-            thread_name_prefix=f"repro-shard-{self.index}",
-        )
-
-    def rebuild_executor(self) -> None:
-        """Replace a broken process pool (thread pools cannot break)."""
-        self.executor.shutdown(wait=False, cancel_futures=True)
-        self.executor = self._make_executor()
-
-    def shutdown(self) -> None:
-        self.executor.shutdown(wait=False, cancel_futures=True)
 
 
 class AdmissionFrontend:
@@ -412,7 +371,7 @@ class AdmissionFrontend:
         if self._started:
             raise ConfigurationError("frontend already started")
         self._shards = [
-            _Shard(index, self.config)
+            _Shard(index, self.config, self.metrics)
             for index in range(self.config.shards)
         ]
         for shard in self._shards:
@@ -468,7 +427,7 @@ class AdmissionFrontend:
         finally:
             try:
                 for shard in self._shards:
-                    shard.shutdown()
+                    shard.pool.shutdown()
             finally:
                 if self._wait_pool is not None:
                     self._wait_pool.shutdown(
@@ -493,9 +452,10 @@ class AdmissionFrontend:
                 shard.breaker.record_void()
             if not future.done():
                 future.set_result(
-                    _shed_decision(
+                    refusal(
                         request,
                         key,
+                        "shed",
                         "frontend stopping -- queued request shed "
                         "at drain",
                     )
@@ -554,9 +514,10 @@ class AdmissionFrontend:
 
     def _quota_shed(self, request: AdmissionRequest) -> AdmissionDecision:
         self.metrics.record_shed()
-        return _shed_decision(
+        return refusal(
             request,
             "",
+            "shed",
             f"tenant {request.tenant or 'default'!r} quota "
             "exceeded (429, retry later)",
         )
@@ -660,9 +621,10 @@ class AdmissionFrontend:
                 shard.breaker.record_void()
             self.metrics.record_shed()
             shard.metrics.record_shed()
-            return _shed_decision(
+            return refusal(
                 request,
                 key,
+                "shed",
                 f"shard {shard.index} queue full "
                 f"({self.config.queue_capacity} deep) -- backpressure",
             )
@@ -682,8 +644,8 @@ class AdmissionFrontend:
                     shard, request, key
                 )
             except Exception as exc:  # noqa: BLE001 - fail closed
-                decision = _degraded_decision(
-                    request, key, f"shard worker error: {exc}"
+                decision = refusal(
+                    request, key, "degraded", f"shard worker error: {exc}"
                 )
                 degraded, source = True, "computed"
             if shard.breaker is not None:
@@ -753,8 +715,8 @@ class AdmissionFrontend:
                 # ourselves (unclaimed -- no flight to finish).
         published = False
         try:
-            decision, degraded = await self._compute_with_ladder(
-                shard, request, key
+            decision, _elapsed, degraded = await compute_miss(
+                shard.pool, _shard_compute, key, request
             )
             if cache is not None and not degraded:
                 cache.put(key, decision)
@@ -774,79 +736,6 @@ class AdmissionFrontend:
         finally:
             if leader_flight is not None and not published:
                 flights.finish(key, None)
-
-    async def _compute_with_ladder(
-        self, shard: _Shard, request: AdmissionRequest, key: str
-    ) -> tuple[AdmissionDecision, bool]:
-        """The batch path's retry ladder, asyncio-shaped.
-
-        Timeouts abandon the executor slot (the thread/process may
-        still be busy; the executor absorbs it), failures retry with
-        exponential backoff, a broken process pool is rebuilt without
-        charging the job's budget, and an exhausted ladder degrades to
-        the same fail-closed REJECT as the batch path.
-        """
-        config = self.config
-        loop = asyncio.get_running_loop()
-        attempt = 0
-        breaks = 0
-        while True:
-            executor = shard.executor
-            try:
-                computation = loop.run_in_executor(
-                    executor, _shard_compute, (key, request)
-                )
-                if config.job_timeout is not None:
-                    _key, decision, _elapsed = await asyncio.wait_for(
-                        computation, timeout=config.job_timeout
-                    )
-                else:
-                    _key, decision, _elapsed = await computation
-                return decision, False
-            except asyncio.TimeoutError:
-                shard.metrics.record_timeout()
-                self.metrics.record_timeout()
-                reason = f"timed out after {config.job_timeout:g} s"
-            except BrokenProcessPool:
-                # The pool died under us; resubmit without consuming
-                # this job's retry budget (bounded: a job that keeps
-                # riding pools down is the likely culprit).  One break
-                # strands every in-flight job, so only the first to see
-                # it rebuilds and counts; the rest find a new pool.
-                if shard.executor is executor:
-                    shard.rebuild_executor()
-                    shard.metrics.record_pool_rebuild()
-                    self.metrics.record_pool_rebuild()
-                breaks += 1
-                if breaks <= config.max_retries + 1:
-                    continue
-                return (
-                    _degraded_decision(
-                        request,
-                        key,
-                        f"worker pool broke {breaks} time(s) under "
-                        "this job",
-                    ),
-                    True,
-                )
-            except Exception as exc:  # noqa: BLE001 - ladder
-                reason = f"computation failed: {exc}"
-            if attempt >= config.max_retries:
-                return (
-                    _degraded_decision(
-                        request,
-                        key,
-                        f"{reason} (after {attempt + 1} attempt(s))",
-                    ),
-                    True,
-                )
-            attempt += 1
-            shard.metrics.record_retry()
-            self.metrics.record_retry()
-            if config.retry_backoff:
-                await asyncio.sleep(
-                    config.retry_backoff * (2 ** (attempt - 1))
-                )
 
     # ------------------------------------------------------------------
     # Observability

@@ -109,90 +109,3 @@ class TestAdmitBatch:
         assert [d.request_id for d in decisions] == ["0", "1", "2", "3"]
         assert decisions == [compute_decision(r) for r in mixed]
 
-
-class TestNextWakeup:
-    """Scheduler wakeup arithmetic (regression for the oversleep bug).
-
-    Pre-fix, the pool scheduler computed its wait timeout from queued
-    backoff instants *strictly in the future* -- an instant that
-    expired between the submission scan and the timeout computation
-    vanished from the wakeup set, and the scheduler overslept until
-    the next unrelated event.  `_next_wakeup` keeps expired instants
-    (clamped to zero) and ignores queue deadlines only when no
-    submission slot is free (when acting on them is impossible and
-    honouring them would busy-spin).
-    """
-
-    def _queue(self, *instants):
-        from collections import deque
-
-        return deque(
-            (f"k{i}", 0, instant) for i, instant in enumerate(instants)
-        )
-
-    def test_expired_deadline_wakes_immediately(self):
-        from repro.service.batch import _next_wakeup
-
-        # One expired instant, one far future: pre-fix code returned
-        # 5.0 (the future one); the fix returns 0.0.
-        timeout = _next_wakeup(
-            self._queue(99.9, 105.0), {}, None, now=100.0, capacity=1
-        )
-        assert timeout == 0.0
-
-    def test_future_deadline_is_the_exact_delta(self):
-        from repro.service.batch import _next_wakeup
-
-        timeout = _next_wakeup(
-            self._queue(100.25), {}, None, now=100.0, capacity=1
-        )
-        assert timeout == pytest.approx(0.25)
-
-    def test_idle_scheduler_sleeps_forever(self):
-        from collections import deque
-
-        from repro.service.batch import _next_wakeup
-
-        assert (
-            _next_wakeup(deque(), {}, None, now=0.0, capacity=2) is None
-        )
-
-    def test_full_window_ignores_unactionable_queue_deadlines(self):
-        from repro.service.batch import _next_wakeup
-
-        # No capacity: the expired backoff instant cannot be acted on,
-        # so it must not force a zero-timeout spin; with no job timeout
-        # the scheduler just blocks on completions.
-        timeout = _next_wakeup(
-            self._queue(99.0),
-            {"future": ("k", 0, 98.0)},
-            None,
-            now=100.0,
-            capacity=0,
-        )
-        assert timeout is None
-
-    def test_full_window_still_honours_job_timeouts(self):
-        from repro.service.batch import _next_wakeup
-
-        # Submitted at 98.0 with a 3 s budget: wake at 101.0.
-        timeout = _next_wakeup(
-            self._queue(99.0),
-            {"future": ("k", 0, 98.0)},
-            3.0,
-            now=100.0,
-            capacity=0,
-        )
-        assert timeout == pytest.approx(1.0)
-
-    def test_earliest_of_queue_and_timeout_wins(self):
-        from repro.service.batch import _next_wakeup
-
-        timeout = _next_wakeup(
-            self._queue(100.5),
-            {"future": ("k", 0, 98.0)},
-            3.0,  # in-flight deadline at 101.0
-            now=100.0,
-            capacity=1,
-        )
-        assert timeout == pytest.approx(0.5)

@@ -1,9 +1,12 @@
-"""Batch admission under misbehaving workers: timeouts, retries, degrade.
+"""The retry ladder under misbehaving workers: timeouts, retries, degrade.
 
-The worker body (``repro.service.batch._compute_job``) is monkeypatched
-in the parent process; with the fork start method the pool's children
-inherit the patched module, so hangs and crashes can be staged
-deterministically without real workload pathology.
+Batch admission and the frontend shards decide every miss through the
+same ladder (``repro.service.batch.compute_miss``).  The worker body
+(``repro.service.batch._compute_job``, or the frontend's
+``_shard_compute``) is monkeypatched in the parent process; with the
+fork start method the pool's children inherit the patched module, so
+hangs and crashes can be staged deterministically without real workload
+pathology.
 """
 
 from __future__ import annotations
@@ -105,21 +108,53 @@ def _flaky_once_then_hang(flag_path, request_id, seconds, payload):
     return _real_compute_job(payload)
 
 
+def _raise_once_job(flag_path, request_id, payload):
+    """``request_id`` raises on first sight (across processes), then
+    computes normally."""
+    key, request = payload
+    if request.request_id == request_id and not os.path.exists(flag_path):
+        with open(flag_path, "w"):
+            pass
+        raise RuntimeError("staged transient failure")
+    return _real_compute_job(payload)
+
+
+_BAD_KNOBS = [
+    {"job_timeout": 0.0},
+    {"job_timeout": -1.0},
+    {"job_timeout": float("inf")},
+    {"max_retries": -1},
+    {"retry_backoff": -0.1},
+    {"retry_backoff": float("nan")},
+]
+
+_KNOB_ENTRY_POINTS = {
+    "admit_batch": lambda options: admit_batch(
+        _requests(1), workers=2, **options
+    ),
+    "FrontendConfig": lambda options: FrontendConfig(**options),
+}
+
+
 class TestValidation:
+    # admit_batch's cases keep their original ids (options0..5).
     @pytest.mark.parametrize(
-        "options",
+        "entry, options",
         [
-            {"job_timeout": 0.0},
-            {"job_timeout": -1.0},
-            {"job_timeout": float("inf")},
-            {"max_retries": -1},
-            {"retry_backoff": -0.1},
-            {"retry_backoff": float("nan")},
+            (entry, options)
+            for entry in _KNOB_ENTRY_POINTS
+            for options in _BAD_KNOBS
+        ],
+        ids=[
+            f"options{index}" if entry == "admit_batch" else
+            f"{entry}-options{index}"
+            for entry in _KNOB_ENTRY_POINTS
+            for index in range(len(_BAD_KNOBS))
         ],
     )
-    def test_bad_knobs_rejected(self, options):
+    def test_bad_knobs_rejected(self, entry, options):
         with pytest.raises(ConfigurationError):
-            admit_batch(_requests(1), workers=2, **options)
+            _KNOB_ENTRY_POINTS[entry](options)
 
 
 class TestTimeouts:
@@ -173,6 +208,28 @@ class TestTimeouts:
         assert cache.get(decisions[0].key) is None
         # The healthy decision was cached as usual.
         assert cache.get(decisions[1].key) is not None
+
+    def test_one_thread_batch_honours_the_timeout(self, monkeypatch):
+        # workers=1 runs on one thread; the hung job is the last one, so
+        # nothing queues behind it.
+        monkeypatch.setattr(
+            batch_module, "_compute_job", _hang_on("r1", 3.0)
+        )
+        metrics = ServiceMetrics()
+        started = time.monotonic()
+        decisions = admit_batch(
+            _requests(2),
+            workers=1,
+            metrics=metrics,
+            job_timeout=0.5,
+            max_retries=0,
+        )
+        assert time.monotonic() - started < 2.5
+        assert not decisions[0].rationale.startswith("service degraded:")
+        assert decisions[1].rationale == (
+            "service degraded: timed out after 0.5 s (after 1 attempt(s))"
+        )
+        assert metrics.snapshot()["timeouts"] == 1
 
     def test_timeout_applies_per_job_not_per_batch(self, monkeypatch):
         # Four healthy jobs, generous timeout: nothing degrades even
@@ -407,8 +464,25 @@ class TestFrontendBrokenPool:
         assert "worker pool broke 2 time(s)" in killer.rationale
         assert snapshot["pool_rebuilds"] == 2
         for request, decision in zip(requests[1:], decisions[1:]):
-            if not decision.rationale.startswith("service degraded:"):
-                assert decision == compute_decision(request)
+            assert decision == compute_decision(request)
+
+    def test_bystanders_of_a_pool_killer_are_never_degraded(
+        self, monkeypatch
+    ):
+        # A job stranded by a break runs alone afterwards, so only the
+        # killer ever rides a second break: no bystander degrades.
+        monkeypatch.setattr(
+            frontend_module,
+            "_shard_compute",
+            functools.partial(_always_crash_job, "r0"),
+        )
+        requests = _requests(8)
+        expected = [compute_decision(request) for request in requests]
+        for _round in range(5):
+            decisions, snapshot = self._serve(requests, max_retries=0)
+            assert "worker pool broke" in decisions[0].rationale
+            assert decisions[1:] == expected[1:]
+            assert snapshot["degraded"] == 1
 
 
 class TestSchedulerWakeup:
@@ -418,10 +492,9 @@ class TestSchedulerWakeup:
         self, monkeypatch, tmp_path
     ):
         # r0 fails once and backs off 0.2 s while r1/r2 occupy both
-        # workers for ~0.6 s.  The scheduler must neither oversleep
-        # (pre-fix: an expired backoff instant was dropped from the
-        # wakeup set, so the retry waited for the *next* event) nor
-        # busy-spin wait(timeout=0) while the window is full.
+        # workers for ~0.6 s.  The retry must start when its backoff
+        # ends and a slot frees, not at some later unrelated event, and
+        # nothing may busy-wait while both slots are full.
         monkeypatch.setattr(
             batch_module,
             "_compute_job",
@@ -432,17 +505,8 @@ class TestSchedulerWakeup:
                 0.6,
             ),
         )
-        real_wait = batch_module.wait
-        wait_calls: list = []
-
-        def counting_wait(futures, timeout=None, return_when=None):
-            wait_calls.append(timeout)
-            return real_wait(
-                futures, timeout=timeout, return_when=return_when
-            )
-
-        monkeypatch.setattr(batch_module, "wait", counting_wait)
         started = time.monotonic()
+        cpu_started = time.process_time()
         decisions = admit_batch(
             _requests(3),
             workers=2,
@@ -450,12 +514,13 @@ class TestSchedulerWakeup:
             retry_backoff=0.2,
         )
         elapsed = time.monotonic() - started
+        cpu = time.process_time() - cpu_started
         by_id = {d.request_id: d for d in decisions}
         assert not by_id["r0"].rationale.startswith("service degraded:")
         assert elapsed < 5.0  # no oversleep into the pool teardown
-        # A handful of scheduler turns, not a zero-timeout spin loop.
-        assert len(wait_calls) < 25
-        assert sum(1 for t in wait_calls if t == 0.0) <= 2
+        # The workers compute; the parent only waits.  A spinning
+        # parent would burn about as much CPU as wall time.
+        assert cpu < elapsed / 2
 
 
 class TestControllerPassthrough:
@@ -475,3 +540,85 @@ class TestControllerPassthrough:
         assert snapshot["timeouts"] == 1
         assert snapshot["degraded"] == 1
         assert "robustness:" in controller.describe()
+
+
+class TestLadderParity:
+    """Batch and frontend misses run one ladder: same faults, same
+    counters, same degraded rationales."""
+
+    FAULTS = {
+        "raise-once": (
+            lambda flag: functools.partial(_raise_once_job, flag, "r0"),
+            {"retries": 1},
+        ),
+        "raise-always": (
+            lambda flag: functools.partial(_raise_job, "r0"),
+            {"retries": 1, "degraded": 1},
+        ),
+        "hang-past-timeout": (
+            lambda flag: _hang_on("r0", 3.0),
+            {"timeouts": 2, "retries": 1, "degraded": 1},
+        ),
+        "crash-once": (
+            lambda flag: functools.partial(_crash_once_job, flag, "r0"),
+            {"pool_rebuilds": 1},
+        ),
+    }
+    COUNTERS = ("timeouts", "retries", "degraded", "pool_rebuilds")
+    KNOBS = {"job_timeout": 1.0, "max_retries": 1, "retry_backoff": 0.0}
+
+    @staticmethod
+    def _degraded(decisions):
+        return [
+            (d.request_id, d.rationale)
+            for d in decisions
+            if d.rationale.startswith("service degraded:")
+        ]
+
+    def _via_batch(self, requests):
+        metrics = ServiceMetrics()
+        decisions = admit_batch(
+            requests, workers=2, metrics=metrics, **self.KNOBS
+        )
+        return decisions, metrics.snapshot()
+
+    def _via_frontend(self, requests):
+        config = FrontendConfig(
+            executor="process",
+            workers_per_shard=2,
+            cache_backend=None,
+            **self.KNOBS,
+        )
+
+        async def run():
+            async with AdmissionFrontend(config) as frontend:
+                decisions = await asyncio.gather(
+                    *(frontend.admit(request) for request in requests)
+                )
+                return decisions, frontend.metrics.snapshot()
+
+        return asyncio.run(run())
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_same_fault_same_outcome(self, fault, monkeypatch, tmp_path):
+        stage, expected = self.FAULTS[fault]
+        requests = _requests(3)
+        outcomes = {}
+        for path, (module, worker_body), serve in (
+            ("batch", (batch_module, "_compute_job"), self._via_batch),
+            (
+                "frontend",
+                (frontend_module, "_shard_compute"),
+                self._via_frontend,
+            ),
+        ):
+            monkeypatch.setattr(
+                module, worker_body, stage(str(tmp_path / path))
+            )
+            decisions, snapshot = serve(requests)
+            counters = {name: snapshot[name] for name in self.COUNTERS}
+            outcomes[path] = (counters, self._degraded(decisions))
+        assert outcomes["batch"] == outcomes["frontend"]
+        counters, degraded = outcomes["batch"]
+        assert counters == {**dict.fromkeys(self.COUNTERS, 0), **expected}
+        assert len(degraded) == expected.get("degraded", 0)
