@@ -35,9 +35,12 @@ width, or cache backend -- the property tests assert exactly that.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
+import marshal
 import math
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -54,7 +57,7 @@ from repro.service.batch import (
 from repro.service.cache import SingleFlight
 from repro.service.durability import FSYNC_POLICIES
 from repro.service.engine import AdmissionController
-from repro.service.hashing import request_key
+from repro.service.hashing import METADATA_FIELDS, request_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.supervision import BreakerConfig, CircuitBreaker
 from repro.service.requests import (
@@ -63,6 +66,7 @@ from repro.service.requests import (
     decision_to_dict,
     decodes_verbatim,
     request_from_dict,
+    request_to_dict,
 )
 from repro.service.sharding import ShardRing
 from repro.service.store import STORE_BACKENDS
@@ -82,6 +86,36 @@ EXECUTORS: tuple[str, ...] = ("thread", "process")
 #: ``"flush"`` serves them before teardown, ``"shed"`` resolves them
 #: as explicit shed decisions immediately (fast stop, never silent).
 DRAIN_MODES: tuple[str, ...] = ("flush", "shed")
+
+
+def _content_bytes(document) -> bytes:
+    """``document`` without its caller metadata, in marshal version 2.
+
+    Version 2 writes every JSON value with its exact type -- ``1``,
+    ``1.0`` and ``true`` differ, so do ``0.0`` and ``-0.0`` -- in dict
+    order, and without the back-references of later versions, whose
+    bytes depend on object identity.  So equal bytes mean type-identical
+    documents.  Raises :class:`AttributeError` for a non-object and
+    :class:`ValueError` for a value marshal cannot write.
+    """
+    return marshal.dumps(
+        {
+            name: value
+            for name, value in document.items()
+            if name not in METADATA_FIELDS
+        },
+        2,
+    )
+
+
+def _verbatim_key(document) -> str | None:
+    """The content key of a document that decodes verbatim, else ``None``."""
+    if not decodes_verbatim(document):
+        return None
+    try:
+        return request_key(document)
+    except ValueError:  # a non-boolean flag or a NaN: decode says why
+        return None
 
 
 def _shard_compute(job):
@@ -335,6 +369,8 @@ class AdmissionFrontend:
         )
         self._clock = clock
         self._buckets: dict[str, _TokenBucket] = {}
+        # Wire-document fingerprint -> content key (see decode_document).
+        self._key_memo: OrderedDict[bytes, str] = OrderedDict()
         self._shards: list[_Shard] = []
         self._wait_pool: ThreadPoolExecutor | None = None
         self._started = False
@@ -542,18 +578,22 @@ class AdmissionFrontend:
         return replace(cached, request_id=request_id)
 
     async def admit(
-        self, request: AdmissionRequest
+        self, request: AdmissionRequest, *, key: str | None = None
     ) -> AdmissionDecision:
         """Decide one request through quotas, cache, and its shard.
 
-        Always returns a decision: a real verdict, a degraded REJECT
-        (ladder exhausted), or an explicit shed (quota or queue full).
+        ``key`` is the request's content key when the caller already
+        holds it (:meth:`decode_document` hands it over); ``None``
+        computes it.  Always returns a decision: a real verdict, a
+        degraded REJECT (ladder exhausted), or an explicit shed (quota
+        or queue full).
         """
         self._require_started()
         started = time.perf_counter()
         if not self._take_token(request.tenant):
             return self._quota_shed(request)
-        key = request_key(request)
+        if key is None:
+            key = request_key(request)
         shard = self._route(key)
         if self.cache is not None:
             cached = self.cache.get(key)
@@ -563,26 +603,62 @@ class AdmissionFrontend:
                 )
         return await self._enqueue(shard, request, key, started)
 
-    def cached_key(self, document) -> str | None:
-        """The key of a decoded wire document whose decision is cached.
+    def decode_document(
+        self, document
+    ) -> tuple[str | None, AdmissionRequest | None]:
+        """Key a decoded wire document; decode it unless its decision is
+        cached.
 
-        ``None`` when the cache does not hold it, or when only the
-        decoder can judge the document (see
-        :func:`~repro.service.requests.decodes_verbatim`).  Pure: no
-        counter, recency or quota moves.
+        Returns ``(key, None)`` when the cache holds the decision under
+        ``key``: answer with :meth:`admit_cached`.  Otherwise returns
+        ``(key, request)`` for :meth:`admit`, where ``key`` is the
+        request's content key when the document proves it, else
+        ``None``.  Raises the decoder's error for a document that does
+        not decode.  No counter, recency or quota moves.
+
+        A repeat is recognised by its fingerprint, the SHA-256 of
+        :func:`_content_bytes`, in a memo of at most ``cache_capacity``
+        keys.  A key enters the memo when the full check --
+        :func:`~repro.service.requests.decodes_verbatim`, then
+        :func:`~repro.service.hashing.request_key` -- finds it in the
+        cache (``docs/service.md``, "Wire hit path").  Call it from the
+        event loop only.
         """
-        if self.cache is None or not decodes_verbatim(document):
-            return None
+        if self.cache is None:
+            return None, request_from_dict(document)
         try:
-            key = request_key(document)
-        except ValueError:  # a non-boolean flag or a NaN: decode says why
-            return None
-        return key if key in self.cache else None
+            content = _content_bytes(document)
+        except (AttributeError, ValueError):
+            return None, request_from_dict(document)
+        fingerprint = hashlib.sha256(content).digest()
+        memo = self._key_memo
+        key = memo.get(fingerprint)
+        if key is not None:
+            memo.move_to_end(fingerprint)
+            if key in self.cache:
+                return key, None
+            # Evicted since; the key is still the one it decodes to.
+            return key, request_from_dict(document)
+        key = _verbatim_key(document)
+        if key is not None and key in self.cache:
+            memo[fingerprint] = key
+            while len(memo) > self.config.cache_capacity:
+                memo.popitem(last=False)
+            return key, None
+        request = request_from_dict(document)
+        if key is not None and (
+            _content_bytes(request_to_dict(request)) != content
+        ):
+            # Verbatim but not canonical (say, reordered protocols or a
+            # missing phase): its request keys differently.
+            key = None
+        return key, request
 
     async def admit_cached(
         self, document, key: str
     ) -> AdmissionDecision:
-        """Decide a wire document :meth:`cached_key` found under ``key``.
+        """Decide a wire document :meth:`decode_document` found cached
+        under ``key``.
 
         The same bookkeeping as :meth:`admit` on a cache hit -- one
         token, one counted lookup, the shard's breaker and metrics --
@@ -846,7 +922,7 @@ async def serve_frontend(
     ``repro-system-v1``) document; each response line is the decision
     document, in request order per connection.  A line whose decision
     is cached is answered from its JSON document without building the
-    model (:meth:`AdmissionFrontend.cached_key`); any other line is
+    model (:meth:`AdmissionFrontend.decode_document`); any other line is
     decoded and admitted.  A malformed line -- bad JSON, nested too deep
     to parse, not UTF-8, longer than :data:`MAX_LINE_BYTES`, or failing
     to decode as a request -- gets exactly one ``{"error": ...}`` line
@@ -874,9 +950,7 @@ async def serve_frontend(
                     document = json.loads(text)
                     # An exact repeat is answered from the document; any
                     # other line is decoded into the model first.
-                    key = frontend.cached_key(document)
-                    if key is None:
-                        request = request_from_dict(document)
+                    key, request = frontend.decode_document(document)
                 except (
                     ReproError,
                     ValueError,
@@ -886,10 +960,10 @@ async def serve_frontend(
                 ) as exc:
                     payload: dict = {"error": f"bad request line: {exc}"}
                 else:
-                    if key is None:
-                        decision = await frontend.admit(request)
-                    else:
+                    if request is None:
                         decision = await frontend.admit_cached(document, key)
+                    else:
+                        decision = await frontend.admit(request, key=key)
                     payload = decision_to_dict(decision)
                 writer.write(
                     (json.dumps(payload, sort_keys=True) + "\n").encode(

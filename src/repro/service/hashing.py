@@ -53,6 +53,7 @@ from repro.timebase import canonical_number
 __all__ = [
     "KEY_FORMAT",
     "KEY_FORMAT_V3",
+    "METADATA_FIELDS",
     "canonical_payload",
     "request_key",
     "system_key",
@@ -74,7 +75,7 @@ KEY_FORMAT_V3 = "repro-admission-key-v3"
 
 
 #: Request options that are caller metadata, not decision content.
-_METADATA = ("request_id", "tenant")
+METADATA_FIELDS = ("request_id", "tenant")
 
 
 def canonical_payload(
@@ -95,7 +96,7 @@ def canonical_payload(
     payload = {
         name: document.get(name, default)
         for name, default in OPTION_DEFAULTS.items()
-        if name not in _METADATA
+        if name not in METADATA_FIELDS
     }
     payload.update(request_flags(document))
     # A request normalizes ``shared_resources`` to True whenever its

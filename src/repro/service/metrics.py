@@ -29,7 +29,11 @@ def percentile(samples: Sequence[float], fraction: float) -> float:
         return 0.0
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    ordered = sorted(samples)
+    return _nearest_rank(sorted(samples), fraction)
+
+
+def _nearest_rank(ordered: Sequence[float], fraction: float) -> float:
+    """:func:`percentile` of samples already sorted and non-empty."""
     rank = min(len(ordered) - 1, max(0, round(fraction * len(ordered)) - 1))
     return ordered[rank]
 
@@ -241,14 +245,19 @@ class ServiceMetrics:
             if counters["requests"]
             else 0.0
         )
-        counters["latency_p50"] = percentile(latencies, 0.50)
-        counters["latency_p90"] = percentile(latencies, 0.90)
-        counters["latency_p99"] = percentile(latencies, 0.99)
-        counters["latency_p999"] = percentile(latencies, 0.999)
-        counters["latency_max"] = max(latencies) if latencies else 0.0
-        counters["latency_mean"] = (
-            sum(latencies) / len(latencies) if latencies else 0.0
-        )
+        if not latencies:
+            for name in ("p50", "p90", "p99", "p999", "max", "mean"):
+                counters[f"latency_{name}"] = 0.0
+            return counters
+        # Summed in arrival order, so the mean keeps its bits.
+        mean = sum(latencies) / len(latencies)
+        latencies.sort()  # the copy: one sort serves every rank
+        counters["latency_p50"] = _nearest_rank(latencies, 0.50)
+        counters["latency_p90"] = _nearest_rank(latencies, 0.90)
+        counters["latency_p99"] = _nearest_rank(latencies, 0.99)
+        counters["latency_p999"] = _nearest_rank(latencies, 0.999)
+        counters["latency_max"] = latencies[-1]
+        counters["latency_mean"] = mean
         return counters
 
     def describe(self) -> str:

@@ -12,7 +12,10 @@ path").  That is only correct if
   live oracle below warms a real server, sends canonical documents and
   their mutations, and checks every reply against the decoder:
   an error line iff ``request_from_dict`` raises, otherwise exactly
-  ``compute_decision(request_from_dict(document))``.
+  ``compute_decision(request_from_dict(document))``;
+* **the memo** -- a repeat keyed by its fingerprint gets exactly the
+  key the full check would give, and a miss is admitted under its
+  request's key.
 
 Run under ``HYPOTHESIS_PROFILE=ci`` in CI's fuzz job.
 """
@@ -23,6 +26,7 @@ import asyncio
 import copy
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro.model.system import System
 from repro.model.task import CriticalSection, Subtask, Task
+from repro.service.batch import refusal
 from repro.service.engine import compute_decision
 from repro.service.frontend import (
     AdmissionFrontend,
@@ -494,7 +499,8 @@ def test_served_decision_is_the_decoders_decision():
     """Every line gets one reply, and it is what decoding would give."""
     mutants = _mutants()
     # Canonical documents twice: the second pass takes the document path.
-    lines = mutants[:3] + mutants
+    # Every line is sent twice: a second send that hits takes the memo.
+    lines = [line for line in mutants[:3] + mutants for _ in range(2)]
     replies, _ = _exchange_wire(
         FrontendConfig(shards=2),
         _in_code_requests(),
@@ -519,10 +525,11 @@ def test_in_code_twins_are_never_served_to_wire_documents():
     twin = AdmissionRequest(system=_int_twin(_integral_times()))
     assert request_key(ints) != request_key(integral)
     replies, _ = _exchange_wire(
-        FrontendConfig(shards=1), [twin], [_wire(ints)]
+        FrontendConfig(shards=1), [twin], [_wire(ints)] * 2
     )
-    assert replies[0]["key"] == request_key(request_from_dict(ints))
-    assert replies[0]["key"] != request_key(twin)
+    for reply in replies:
+        assert reply["key"] == request_key(request_from_dict(ints))
+        assert reply["key"] != request_key(twin)
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +595,11 @@ def test_cached_key_is_pure_and_entry_loss_falls_back():
 
     async def run():
         async with AdmissionFrontend(FrontendConfig(shards=1)) as fe:
-            assert fe.cached_key(document) is None
+            key, decoded = fe.decode_document(document)
+            assert (key, decoded) == (request_key(request), request)
             await fe.admit(request)
             before = fe.snapshot()
-            key = fe.cached_key(document)
-            assert key == request_key(request)
+            assert fe.decode_document(document) == (key, None)
             assert fe.snapshot() == before
             fe.cache.clear()  # the entry leaves between lookup and admit
             return await fe.admit_cached(document, key), fe.snapshot()
@@ -600,3 +607,244 @@ def test_cached_key_is_pure_and_entry_loss_falls_back():
     decision, snapshot = asyncio.run(run())
     assert decision == compute_decision(request)
     assert snapshot["aggregate"]["requests"] == 2
+
+
+# ---------------------------------------------------------------------------
+# The fingerprint memo: a repeat is served the key the full check gives
+# ---------------------------------------------------------------------------
+
+
+def _float_iterations(d):
+    d["sa_ds_max_iterations"] = float(d["sa_ds_max_iterations"])
+
+
+def _int_clock(d):
+    if d["clock_jump_bound"].is_integer():
+        d["clock_jump_bound"] = int(d["clock_jump_bound"])
+
+
+def _bool_priority(d):
+    stage = _task(d)["subtasks"][0]
+    if stage["priority"] in (0, 1):
+        stage["priority"] = bool(stage["priority"])
+    else:
+        stage["priority"] = float(stage["priority"])
+
+
+def _negative_zero(d):
+    task = _task(d)
+    if task["phase"] == 0.0:
+        task["phase"] = -task["phase"]
+    else:
+        d["clock_rate_bound"] = -0.0 if d["clock_rate_bound"] == 0.0 else 0.0
+
+
+def _reordered(d):
+    items = list(d.items())
+    d.clear()
+    d.update(reversed(items))
+
+
+def _reordered_task(d):
+    task = _task(d)
+    items = list(task.items())
+    task.clear()
+    task.update(reversed(items))
+
+
+#: Type twins and near twins of a canonical document, applied in place.
+_TWINS = [
+    ("same", lambda d: None),
+    ("other-metadata", lambda d: d.update(request_id="other", tenant="t")),
+    ("no-metadata", lambda d: [d.pop("request_id"), d.pop("tenant")]),
+    ("float-iterations", _float_iterations),
+    ("int-clock", _int_clock),
+    ("bool-priority", _bool_priority),
+    ("negative-zero", _negative_zero),
+    ("reordered-keys", _reordered),
+    ("reordered-task", _reordered_task),
+    ("extra-top-level", lambda d: d.update(extra=1)),
+    ("extra-in-task", lambda d: _task(d).update(extra=1)),
+    ("reversed-protocols", lambda d: d["protocols"].reverse()),
+    ("int-flag", lambda d: d.update(wcets_trusted=int(d["wcets_trusted"]))),
+    ("nan", lambda d: d.update(clock_rate_bound=float("nan"))),
+    ("bare-system", None),  # the document's system alone
+]
+
+
+def _twin(document: dict, label: str) -> object:
+    if label == "bare-system":
+        return copy.deepcopy(document["system"])
+    twin = copy.deepcopy(document)
+    dict(_TWINS)[label](twin)
+    return twin
+
+
+def _full_check_key(document) -> str | None:
+    """What the memo stands in for: the document key of a verbatim
+    document (None when it has none)."""
+    if not decodes_verbatim(document):
+        return None
+    try:
+        return request_key(document)
+    except ValueError:
+        return None
+
+
+def _stand_in(request: AdmissionRequest, key: str):
+    """A decision to fill the cache with: only membership matters here."""
+    return refusal(request, key, "shed", "stand-in")
+
+
+@settings(max_examples=50, deadline=None)
+@given(request=_requests(), twin_cached=st.booleans())
+def test_memo_serves_what_the_full_check_serves(request, twin_cached):
+    """Over a document and each of its twins, sent repeatedly: a key
+    served (from the memo or not) is the document's own key, only a
+    verbatim document is ever served, and a miss's key is its
+    request's."""
+    document = _document(request)
+    key = request_key(request)
+    for label, _ in _TWINS:
+        twin = _twin(document, label)
+        fe = AdmissionFrontend(FrontendConfig(shards=1, cache_capacity=4))
+        fe.cache.put(key, _stand_in(request, key))
+        if twin_cached and _full_check_key(twin) is not None:
+            # As if a request built in code spelled the twin's tokens.
+            fe.cache.put(_full_check_key(twin), _stand_in(request, key))
+        for value in (document, twin, document, twin, twin):
+            line = json.loads(json.dumps(value, allow_nan=True))
+            expected = _full_check_key(line)
+            try:
+                served, decoded = fe.decode_document(line)
+            except Exception:  # noqa: BLE001 - must be the decoder's error
+                with pytest.raises(Exception):
+                    request_from_dict(line)
+                continue
+            if decoded is None:
+                assert decodes_verbatim(line), label
+                assert served == expected == request_key(line), label
+            else:
+                assert expected is None or expected not in fe.cache, label
+                assert decoded == request_from_dict(line), label
+                assert served is None or served == request_key(decoded), label
+        # The document itself was served from the memo on its repeat.
+        assert key in fe._key_memo.values(), label
+
+
+def test_repeated_line_is_keyed_from_the_memo():
+    """The first hit runs the full check; every later repeat is keyed
+    by its fingerprint alone, whatever its request id."""
+    document = _document(_warm_requests()[0])
+    first, again = dict(document), dict(document, request_id="again")
+    calls = []
+
+    def spy(value):
+        calls.append(value)
+        return request_key(value)
+
+    with mock.patch("repro.service.frontend.request_key", spy):
+        replies, snapshot = _exchange_wire(
+            FrontendConfig(shards=2),
+            [],
+            [_wire(first)] * 2 + [_wire(again)] * 3,
+        )
+    # The miss keys once (the document's key admits it), the first hit
+    # once, and the memo keys the rest.
+    assert len(calls) == 2
+    assert {reply["key"] for reply in replies} == {request_key(document)}
+    assert [reply["request_id"] for reply in replies] == (
+        ["w-example"] * 2 + ["again"] * 3
+    )
+    assert snapshot["aggregate"]["cache_hits"] == 4
+
+
+def test_miss_on_a_non_canonical_document_keys_its_request():
+    """A verbatim document that is not its request's canonical form
+    (reordered protocols) is admitted under its request's key."""
+    document = _document(_warm_requests()[0])
+    document["protocols"].reverse()
+    assert request_key(document) != request_key(request_from_dict(document))
+    replies, _ = _exchange_wire(
+        FrontendConfig(shards=1), [], [_wire(document)] * 2
+    )
+    for reply in replies:
+        assert reply == _expected(document)
+
+
+def test_memo_stays_within_the_cache_capacity():
+    requests = [
+        AdmissionRequest(system=example_two(), sa_ds_max_iterations=n)
+        for n in range(100, 106)
+    ]
+    fe = AdmissionFrontend(FrontendConfig(shards=1, cache_capacity=3))
+    for request in requests:
+        key = request_key(request)
+        fe.cache.put(key, _stand_in(request, key))
+        assert fe.decode_document(_document(request)) == (key, None)
+        assert len(fe._key_memo) <= 3
+    assert len(fe._key_memo) == 3
+    # The newest entries stay; an evicted one takes the full check again.
+    assert list(fe._key_memo.values()) == [
+        request_key(request) for request in requests[-3:]
+    ]
+
+
+def test_memo_hit_whose_decision_left_the_cache_is_computed():
+    request = _warm_requests()[0]
+    line = _wire(_document(request))
+
+    async def run():
+        async with AdmissionFrontend(FrontendConfig(shards=1)) as fe:
+            server = await serve_frontend(fe, port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def send():
+                writer.write(line)
+                await writer.drain()
+                return json.loads(await asyncio.wait_for(reader.readline(), 60))
+
+            await send()  # computed
+            await send()  # a hit: the memo learns the document
+            assert len(fe._key_memo) == 1
+            fe.cache.clear()
+            reply = await send()  # a memo hit with nothing cached
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return reply, fe.snapshot()
+
+    reply, snapshot = asyncio.run(run())
+    assert reply == _expected(_document(request))
+    assert snapshot["aggregate"]["requests"] == 3
+    assert snapshot["aggregate"]["cache_hits"] == 1
+    assert snapshot["cache"]["size"] == 1
+
+
+def test_quota_shed_on_a_memo_hit():
+    """A memo hit over quota is shed exactly like a full-check hit."""
+    request = _warm_requests()[0]
+    document = _document(request)
+    document["tenant"] = "acme"
+    config = FrontendConfig(
+        shards=1,
+        tenant_quotas={"acme": TenantQuota(rate=1e-9, burst=2)},
+    )
+    replies, snapshot = _exchange_wire(
+        config, [request], [_wire(document)] * 3
+    )
+    # The first hit runs the full check, the second is a memo hit.
+    assert [r["request_id"] for r in replies] == ["w-example"] * 3
+    assert not any(
+        r["rationale"].startswith("service shed:") for r in replies[:2]
+    )
+    shed = refusal(
+        request_from_dict(document),
+        "",
+        "shed",
+        "tenant 'acme' quota exceeded (429, retry later)",
+    )
+    assert replies[2] == json.loads(json.dumps(decision_to_dict(shed)))
+    assert snapshot["aggregate"]["shed"] == 1
+    assert snapshot["cache"]["hits"] == 2

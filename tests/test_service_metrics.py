@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -70,6 +71,24 @@ class TestServiceMetrics:
         snap = metrics.snapshot()
         assert snap["requests"] == 100
         assert snap["latency_max"] <= 99.0
+
+    @pytest.mark.parametrize("reservoir, count", [(64, 40), (16, 100)])
+    def test_latency_stats_match_the_reservoir(self, reservoir, count):
+        """One sort in ``snapshot`` reads what ``percentile`` would."""
+        rng = random.Random(reservoir)
+        metrics = ServiceMetrics(reservoir=reservoir)
+        for _ in range(count):
+            metrics.record(
+                admitted=True, cache_hit=False, latency=rng.random()
+            )
+        samples = list(metrics._latencies)
+        snap = metrics.snapshot()
+        for name, fraction in (
+            ("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999),
+        ):
+            assert snap[f"latency_{name}"] == percentile(samples, fraction)
+        assert snap["latency_max"] == max(samples)
+        assert snap["latency_mean"] == sum(samples) / len(samples)
 
     def test_reservoir_validation(self):
         with pytest.raises(ValueError):
