@@ -410,12 +410,14 @@ def _run_admissions(
     *,
     progress=None,
 ) -> list:
-    """Batch over the pool, or in-process when the region tier is on.
+    """Batch over the pool, or one line at a time when the region tier
+    is on.
 
-    The region tier lives in the controller's process; the batch path
-    computes misses in pool workers that cannot observe or consult it,
-    so enabling ``--region-backend`` switches to sequential in-process
-    admission (where shape reuse, not parallelism, is the speedup).
+    A batch looks every line up before it computes any, so a shape
+    whose region is built while the batch computes line *i* cannot
+    serve line *i+1* of the same batch.  Admitting in order lets it,
+    which is why ``--region-backend`` admits sequentially: there shape
+    reuse, not parallelism, is the speedup.
     """
     if controller.regions is None:
         return controller.admit_batch(

@@ -18,7 +18,9 @@ procedure:
 * :mod:`repro.service.backends` -- the sqlite/WAL decision cache behind
   the same interface;
 * :mod:`repro.service.engine` -- the :class:`AdmissionController`
-  (analyses + Section 6 advisor behind the cache);
+  (analyses + Section 6 advisor behind the cache) and the one admission
+  pipeline every entry point runs: cache, region tier, single-flight,
+  compute;
 * :mod:`repro.service.batch` -- batch admission over a process pool
   with deterministic output order;
 * :mod:`repro.service.sharding` -- the consistent-hash ring that maps

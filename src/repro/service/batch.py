@@ -2,18 +2,17 @@
 
 Mirrors the idiom of :mod:`repro.experiments.parallel`: jobs are pure
 functions of picklable inputs, and all randomness-free computation makes
-the result independent of the worker count.  On top of that, the batch
-layer
+the result independent of the worker count.  The batch is one caller of
+the controller's admission pipeline
+(:meth:`~repro.service.engine.AdmissionController.lookup`, then
+:meth:`~repro.service.engine.AdmissionController.decide_miss`): it
 
-* serves every request already in the cache without touching the pool,
+* serves every request the cache or the region tier answers without
+  touching the pool,
 * deduplicates identical content *within* the batch (each distinct key
-  is computed exactly once, however often it recurs),
-* deduplicates identical content *across* concurrent batches through
-  the cache's single-flight table
-  (:class:`repro.service.cache.SingleFlight`): the first batch to claim
-  a key computes it, later batches wait for the published decision
-  instead of recomputing -- and fall back to computing for themselves
-  if the leader could not publish, so coalescing can never wedge,
+  is computed exactly once, however often it recurs), while the
+  pipeline's single-flight claim deduplicates it *across* concurrent
+  batches and frontend shards,
 * decides every miss through :func:`compute_miss` on a
   :class:`ComputePool` -- the same ladder the frontend shards use: a
   per-attempt ``job_timeout``, retries with exponential backoff, a
@@ -40,8 +39,8 @@ from dataclasses import replace
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError
-from repro.service.cache import DecisionCache, SingleFlight
-from repro.service.engine import compute_decision
+from repro.service.cache import DecisionCache
+from repro.service.engine import AdmissionController, compute_decision
 from repro.service.hashing import request_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import AdmissionDecision, AdmissionRequest
@@ -307,6 +306,34 @@ def admit_batch(
     ladder runs in :func:`asyncio.run`, so this function must not be
     called from a running event loop.
     """
+    return decide_batch(
+        AdmissionController(cache, metrics=metrics, cache_backend=None),
+        requests,
+        workers=workers,
+        progress=progress,
+        job_timeout=job_timeout,
+        max_retries=max_retries,
+        retry_backoff=retry_backoff,
+    )
+
+
+def decide_batch(
+    controller: AdmissionController,
+    requests: Sequence[AdmissionRequest] | Iterable[AdmissionRequest],
+    *,
+    workers: int | None,
+    progress: Callable[[str], None] | None,
+    job_timeout: float | None,
+    max_retries: int,
+    retry_backoff: float,
+) -> list[AdmissionDecision]:
+    """:func:`admit_batch` through ``controller``'s admission pipeline.
+
+    Every request meets :meth:`AdmissionController.lookup`; each
+    distinct missed key then runs
+    :meth:`AdmissionController.decide_miss` once, all of them
+    concurrently on one batch :class:`ComputePool`.
+    """
     request_list = list(requests)
     worker_count = workers if workers is not None else (os.cpu_count() or 1)
     if worker_count < 1:
@@ -314,6 +341,7 @@ def admit_batch(
     check_ladder_knobs(job_timeout, max_retries, retry_backoff)
     if not request_list:
         return []
+    metrics = controller.metrics
 
     decisions: list[AdmissionDecision | None] = [None] * len(request_list)
     # key -> indices still needing a decision, in first-appearance order.
@@ -321,129 +349,73 @@ def admit_batch(
     for index, request in enumerate(request_list):
         started = time.perf_counter()
         key = request_key(request)
-        cached = cache.get(key) if cache is not None else None
-        if cached is not None:
-            decisions[index] = replace(
-                cached, request_id=request.request_id
-            )
-            if metrics is not None:
-                metrics.record(
-                    admitted=cached.admitted,
-                    cache_hit=True,
-                    latency=time.perf_counter() - started,
-                )
-        else:
+        found = controller.lookup(request, key)
+        if found is None:
             pending.setdefault(key, []).append(index)
+            continue
+        decision, source = found
+        decisions[index] = replace(decision, request_id=request.request_id)
+        metrics.record(
+            admitted=decision.admitted,
+            cache_hit=source == "cache",
+            region_hit=source == "region",
+            latency=time.perf_counter() - started,
+        )
 
     jobs = {
         key: request_list[indices[0]] for key, indices in pending.items()
     }
 
-    # Cross-batch single-flight: claim every distinct key at the cache's
-    # in-flight table.  Keys another batch (or shard, or thread) is
-    # already computing are *awaited* instead of recomputed; the rest
-    # are *owned* and computed here.  Without a cache there is no
-    # shared layer for concurrent batches to meet at, so every key is
-    # owned.
-    flights = cache.flights if cache is not None else None
-    owned: dict[str, AdmissionRequest] = {}
-    awaited: dict[str, object] = {}
-    if flights is None:
-        owned = dict(jobs)
-    else:
-        for key, request in jobs.items():
-            leader, flight = flights.begin(key)
-            if leader:
-                owned[key] = request
-            else:
-                awaited[key] = flight
-
-    outcomes: dict[str, tuple[AdmissionDecision, float, bool]] = {}
-    coalesced: set[str] = set()
-
-    async def decide_misses() -> None:
+    async def decide_misses() -> list:
         process = worker_count > 1 and (
-            len(owned) > 1 or job_timeout is not None
+            len(jobs) > 1 or job_timeout is not None
         )
         pool = ComputePool(
             "process" if process else "thread",
             worker_count if process else 1,
             name="repro-batch",
-            sinks=() if metrics is None else (metrics,),
+            sinks=(metrics,),
             job_timeout=job_timeout,
             max_retries=max_retries,
             retry_backoff=retry_backoff,
         )
+        compute = functools.partial(compute_miss, pool, _compute_job)
         try:
-            try:
-                decided = await asyncio.gather(
-                    *(
-                        compute_miss(pool, _compute_job, key, request)
-                        for key, request in owned.items()
-                    )
+            return await asyncio.gather(
+                *(
+                    controller.decide_miss(request, key, compute)
+                    for key, request in jobs.items()
                 )
-                outcomes.update(zip(owned, decided))
-            finally:
-                # The leader MUST publish every claimed key, decisions
-                # and failures alike, or waiters would block forever.
-                if flights is not None:
-                    for key in owned:
-                        decision, _elapsed, degraded = outcomes.get(
-                            key, (None, 0.0, False)
-                        )
-                        flights.finish(key, decision, degraded=degraded)
-            for key, flight in awaited.items():
-                started = time.perf_counter()
-                decision, degraded = await asyncio.to_thread(
-                    SingleFlight.wait, flight
-                )
-                if decision is None:
-                    # The leader finished without publishing a decision
-                    # (its batch died mid-compute); fall back to
-                    # computing locally rather than failing or waiting
-                    # forever.
-                    outcomes[key] = await compute_miss(
-                        pool, _compute_job, key, jobs[key]
-                    )
-                else:
-                    outcomes[key] = (
-                        decision,
-                        time.perf_counter() - started,
-                        degraded,
-                    )
-                    coalesced.add(key)
-                    if metrics is not None:
-                        metrics.record_coalesced()
+            )
         finally:
             pool.shutdown()
 
-    if jobs:
-        asyncio.run(decide_misses())
+    outcomes = dict(zip(jobs, asyncio.run(decide_misses()))) if jobs else {}
 
     computed = 0
     for key in pending:
-        decision, elapsed, degraded = outcomes[key]
-        if cache is not None and not degraded and key not in coalesced:
-            cache.put(key, decision)
+        decision, elapsed, degraded, source = outcomes[key]
+        coalesced = source == "coalesced"
         for position, index in enumerate(pending[key]):
             decisions[index] = replace(
                 decision, request_id=request_list[index].request_id
             )
-            if metrics is not None:
-                # The first occurrence paid the computation; batch
-                # duplicates (and coalesced keys, computed by another
-                # batch) ride along as in-flight hits.
-                metrics.record(
-                    admitted=decision.admitted,
-                    cache_hit=position > 0 or key in coalesced,
-                    latency=elapsed if position == 0 else 0.0,
-                )
-        if metrics is not None and degraded:
+            # The first occurrence paid the computation; batch
+            # duplicates (and coalesced keys, computed by another
+            # batch) ride along as in-flight hits.
+            metrics.record(
+                admitted=decision.admitted,
+                cache_hit=position > 0 or coalesced,
+                latency=elapsed if position == 0 else 0.0,
+            )
+        if coalesced:
+            metrics.record_coalesced()
+        if degraded:
             metrics.record_degraded()
         computed += 1
         if progress is not None:
             verdict = " (degraded)" if degraded else ""
-            if key in coalesced:
+            if coalesced:
                 verdict = " (coalesced)"
             progress(
                 f"{computed}/{len(jobs)} admission decisions "

@@ -15,12 +15,16 @@ its steady-state hit rate immediately.
 
 The cache also owns the service's *single-flight* table
 (:class:`SingleFlight`, exposed as ``cache.flights``): when several
-concurrent callers -- two batches, two shards, two threads -- miss on
-the same key at the same time, exactly one of them (the *leader*)
-computes while the rest wait for the published result instead of
-recomputing it.  In-flight tracking lives at the cache layer because
-that is the only place all concurrent misses for one key meet,
-whatever path (batch, frontend shard, direct admit) produced them.
+concurrent callers -- two batches, two shards, a batch and a shard --
+miss on the same key at the same time, exactly one of them (the
+*leader*) computes while the rest wait for the published result instead
+of recomputing it.  In-flight tracking lives at the cache layer because
+that is the one object every such caller shares.  Only the admission
+pipeline's miss step
+(:meth:`~repro.service.engine.AdmissionController.decide_miss`, run by
+batches and frontend shards) claims flights; the direct, synchronous
+:meth:`~repro.service.engine.AdmissionController.admit` computes inline
+and never meets the table.
 
 Alternative backends (sqlite/WAL) live in
 :mod:`repro.service.backends`; they expose this same interface, which
@@ -79,10 +83,12 @@ class SingleFlight:
       ``try/finally``); later claimants get the leader's flight to
       :meth:`wait` on.
     * :meth:`finish` publishes the outcome and wakes every waiter.  A
-      leader that could not produce a cacheable decision publishes
-      ``decision=None`` (or ``degraded=True``); waiters then fall back
-      to computing for themselves, so a crashed or degraded leader can
-      never wedge its followers.
+      degraded outcome is published like any other (``degraded=True``)
+      and followers inherit it, failing closed with the leader; it is
+      never cached, so the next caller after the flight retries.  A
+      leader that produced no decision at all (it crashed) publishes
+      ``decision=None``, and its waiters fall back to computing for
+      themselves, so a dead leader can never wedge its followers.
 
     The table holds no decision history: a finished flight is removed,
     and the *cache* is what remembers the result.  Waiting is
@@ -172,7 +178,7 @@ class DecisionCache(_Flights, MemoryStore):
     ``fsync`` are the engine's.
 
     Every cache carries a :class:`SingleFlight` table as ``flights``,
-    which the batch layer and the sharded frontend use to collapse
+    which the admission pipeline's miss step uses to collapse
     concurrent misses on one key into a single computation.  After a
     warm start, ``last_recovery`` holds the load's
     :class:`~repro.service.durability.RecoveryReport` (salvage counts

@@ -12,6 +12,7 @@ service instantiates once and feeds every incoming request.
 
 from __future__ import annotations
 
+import asyncio
 import time
 from dataclasses import replace
 from typing import Iterable, Sequence
@@ -24,7 +25,7 @@ from repro.core.analysis.skew import analyze_sa_pm_skewed
 from repro.locks import analyze_sa_ds_blocking, analyze_sa_pm_blocking
 from repro.model.system import System
 from repro.service.backends import DECISION_STORES
-from repro.service.cache import CacheStats, DecisionCache
+from repro.service.cache import CacheStats, DecisionCache, SingleFlight
 from repro.service.hashing import request_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import AdmissionDecision, AdmissionRequest
@@ -200,7 +201,11 @@ class AdmissionController:
     and closed: the sharded frontend holds one over its aggregate
     metrics.  Recovery damage found while opening a store (a salvaged
     snapshot, a quarantined database) is recorded in ``metrics``;
-    :meth:`close` closes what the controller built.
+    :meth:`close` closes what the controller built.  It is also the one
+    place the tier order is written: :meth:`lookup` (cache, then
+    regions) and :meth:`decide_miss` (single-flight, compute, cache,
+    publish, observe), which :meth:`admit`, :meth:`admit_batch` and the
+    frontend shards run.
     """
 
     def __init__(
@@ -292,47 +297,31 @@ class AdmissionController:
     # Single admissions
     # ------------------------------------------------------------------
     def admit(self, request: AdmissionRequest) -> AdmissionDecision:
-        """Decide one request: decision cache, region tier, then compute.
+        """Decide one request through :meth:`lookup`, else inline.
 
-        The decision cache is consulted first (exact-request hits are
-        the cheapest), the region tier second (a shape hit answers
-        analysis-free for any execution vector inside the verified
-        box), and only then does the full analysis run -- after which
-        the region tier *observes* the shape so repeating shapes earn
-        a region.  Region-backed decisions are never inserted into the
-        decision cache (they carry no bounds and a tier-specific
-        rationale).
+        A miss runs :func:`compute_decision` right here -- no event
+        loop, no thread hop, no flight claim -- then lands in the
+        decision cache and is observed by the region tier, as
+        :meth:`decide_miss` would do it.
         """
         started = time.perf_counter()
         key = request_key(request)
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                decision = replace(cached, request_id=request.request_id)
-                self.metrics.record(
-                    admitted=decision.admitted,
-                    cache_hit=True,
-                    latency=time.perf_counter() - started,
-                )
-                return decision
-        if self.regions is not None:
-            regional = self.regions.lookup(request, key=key)
-            if regional is not None:
-                self.metrics.record(
-                    admitted=regional.admitted,
-                    cache_hit=False,
-                    region_hit=True,
-                    latency=time.perf_counter() - started,
-                )
-                return regional
-        decision = compute_decision(request, key=key)
-        if self.cache is not None:
-            self.cache.put(key, decision)
-        if self.regions is not None:
-            self.regions.observe(request)
+        found = self.lookup(request, key)
+        if found is None:
+            decision = compute_decision(request, key=key)
+            source = "computed"
+            if self.cache is not None:
+                self.cache.put(key, decision)
+            if self.regions is not None:
+                self.regions.observe(request)
+        else:
+            decision, source = found
+            if source == "cache":
+                decision = replace(decision, request_id=request.request_id)
         self.metrics.record(
             admitted=decision.admitted,
-            cache_hit=False,
+            cache_hit=source == "cache",
+            region_hit=source == "region",
             latency=time.perf_counter() - started,
         )
         return decision
@@ -340,6 +329,74 @@ class AdmissionController:
     def admit_system(self, system: System, **options) -> AdmissionDecision:
         """Decide a bare system with request options as keywords."""
         return self.admit(AdmissionRequest(system=system, **options))
+
+    # ------------------------------------------------------------------
+    # The admission pipeline
+    # ------------------------------------------------------------------
+    def lookup(
+        self, request: AdmissionRequest, key: str
+    ) -> tuple[AdmissionDecision, str] | None:
+        """(decision, ``"cache"`` or ``"region"``), or None on a miss.
+
+        The decision cache first (exact-request hits are the
+        cheapest), then the region tier (a shape hit answers
+        analysis-free for any execution vector inside the verified
+        box).  A cached decision still carries the request id it was
+        computed under.  Region-backed decisions carry no bounds and a
+        tier-specific rationale, so they never enter the cache.
+        """
+        if self.cache is not None:
+            cached = self.cache.get(key)
+            if cached is not None:
+                return cached, "cache"
+        if self.regions is not None:
+            regional = self.regions.lookup(request, key=key)
+            if regional is not None:
+                return regional, "region"
+        return None
+
+    async def decide_miss(
+        self, request: AdmissionRequest, key: str, compute
+    ) -> tuple[AdmissionDecision, float, bool, str]:
+        """(decision, seconds, degraded?, source) for a :meth:`lookup` miss.
+
+        Claims ``key`` at the cache's single-flight table.  A follower
+        waits off the event loop and returns the leader's outcome,
+        degraded or not, as ``"coalesced"``; if the leader published
+        nothing, it computes for itself.  Computing awaits
+        ``compute(key, request)``, the caller's
+        :func:`~repro.service.batch.compute_miss` on its own pool, and
+        returns ``"computed"``.  The decision is cached *before* the
+        flight is published, so a caller arriving in between finds one
+        or the other.  The region tier then observes the request off
+        the event loop, so a build lands before this returns.  Degraded
+        decisions are neither cached nor observed.
+        """
+        flights = self.cache.flights if self.cache is not None else None
+        leading = False
+        if flights is not None:
+            leading, flight = flights.begin(key)
+            if not leading:
+                started = time.perf_counter()
+                decision, degraded = await asyncio.to_thread(
+                    SingleFlight.wait, flight
+                )
+                if decision is not None:
+                    elapsed = time.perf_counter() - started
+                    return decision, elapsed, degraded, "coalesced"
+        try:
+            decision, elapsed, degraded = await compute(key, request)
+            if self.cache is not None and not degraded:
+                self.cache.put(key, decision)
+            if leading:
+                leading = False
+                flights.finish(key, decision, degraded=degraded)
+            if self.regions is not None and not degraded:
+                await asyncio.to_thread(self.regions.observe, request)
+            return decision, elapsed, degraded, "computed"
+        finally:
+            if leading:  # never published: followers compute for themselves
+                flights.finish(key, None)
 
     # ------------------------------------------------------------------
     # Batch admissions
@@ -357,15 +414,14 @@ class AdmissionController:
         """Decide many requests, fanning misses over a process pool.
 
         See :func:`repro.service.batch.admit_batch`; this controller's
-        cache and metrics are shared with the batch (so its timeout,
-        retry and degraded counters land here too).
+        cache, region tier and metrics are shared with the batch (so
+        its timeout, retry and degraded counters land here too).
         """
-        from repro.service.batch import admit_batch
+        from repro.service.batch import decide_batch
 
-        return admit_batch(
+        return decide_batch(
+            self,
             requests,
-            cache=self.cache,
-            metrics=self.metrics,
             workers=workers,
             progress=progress,
             job_timeout=job_timeout,

@@ -15,7 +15,10 @@ runs one event loop; inside it,
   request's content hash -- identical content always lands on the same
   shard, which keeps that shard's slice of the cache hot and lets the
   cache's single-flight table collapse concurrent duplicates,
-* each shard computes misses on its own
+* each shard runs the controller's admission pipeline
+  (:meth:`~repro.service.engine.AdmissionController.lookup`, then
+  :meth:`~repro.service.engine.AdmissionController.decide_miss`) and
+  computes misses on its own
   :class:`~repro.service.batch.ComputePool` (``"thread"`` or
   ``"process"``; processes sidestep the GIL for CPU-bound analysis,
   threads are cheaper and overlap stall-bound work) through the batch
@@ -35,13 +38,13 @@ width, or cache backend -- the property tests assert exactly that.
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import json
 import marshal
 import math
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -54,7 +57,6 @@ from repro.service.batch import (
     compute_miss,
     refusal,
 )
-from repro.service.cache import SingleFlight
 from repro.service.durability import FSYNC_POLICIES
 from repro.service.engine import AdmissionController
 from repro.service.hashing import METADATA_FIELDS, request_key
@@ -372,7 +374,6 @@ class AdmissionFrontend:
         # Wire-document fingerprint -> content key (see decode_document).
         self._key_memo: OrderedDict[bytes, str] = OrderedDict()
         self._shards: list[_Shard] = []
-        self._wait_pool: ThreadPoolExecutor | None = None
         self._started = False
 
     def _make_breaker(self, shard: _Shard) -> CircuitBreaker | None:
@@ -412,10 +413,6 @@ class AdmissionFrontend:
         ]
         for shard in self._shards:
             shard.breaker = self._make_breaker(shard)
-        self._wait_pool = ThreadPoolExecutor(
-            max_workers=max(4, self.config.shards),
-            thread_name_prefix="repro-flight-wait",
-        )
         for shard in self._shards:
             shard.workers = [
                 asyncio.create_task(self._run_worker(shard))
@@ -465,10 +462,6 @@ class AdmissionFrontend:
                 for shard in self._shards:
                     shard.pool.shutdown()
             finally:
-                if self._wait_pool is not None:
-                    self._wait_pool.shutdown(
-                        wait=False, cancel_futures=True
-                    )
                 self._controller.close()
 
     def _shed_queue(self, shard: _Shard) -> None:
@@ -716,9 +709,21 @@ class AdmissionFrontend:
                 return
             request, key, future, started = item
             try:
-                decision, degraded, source = await self._decide(
-                    shard, request, key
-                )
+                # The decision may have landed while this request queued.
+                found = self._controller.lookup(request, key)
+                if found is None:
+                    decision, _elapsed, degraded, source = (
+                        await self._controller.decide_miss(
+                            request,
+                            key,
+                            functools.partial(
+                                compute_miss, shard.pool, _shard_compute
+                            ),
+                        )
+                    )
+                else:
+                    decision, source = found
+                    degraded = False
             except Exception as exc:  # noqa: BLE001 - fail closed
                 decision = refusal(
                     request, key, "degraded", f"shard worker error: {exc}"
@@ -740,78 +745,18 @@ class AdmissionFrontend:
             for sink in (self.metrics, shard.metrics):
                 sink.record(
                     admitted=decision.admitted,
-                    cache_hit=source == "cache",
+                    cache_hit=source in ("cache", "coalesced"),
                     region_hit=source == "region",
                     latency=latency,
                 )
+                if source == "coalesced":
+                    sink.record_coalesced()
                 if degraded:
                     sink.record_degraded()
             if not future.done():
                 future.set_result(
                     replace(decision, request_id=request.request_id)
                 )
-
-    async def _decide(
-        self, shard: _Shard, request: AdmissionRequest, key: str
-    ) -> tuple[AdmissionDecision, bool, str]:
-        """(decision, degraded?, source) for one queued miss.
-
-        ``source`` is ``"cache"`` (exact-request hit on the re-check or
-        via a coalesced flight), ``"region"`` (served analysis-free by
-        the region tier) or ``"computed"``.
-        """
-        cache = self.cache
-        flights = cache.flights if cache is not None else None
-        leader_flight = None
-        if cache is not None:
-            # Re-check: the decision may have landed while we queued.
-            cached = cache.get(key)
-            if cached is not None:
-                return cached, False, "cache"
-        if self.regions is not None:
-            # The region tier sits between the exact-request cache and
-            # the analysis: a shape hit needs no executor, no flight.
-            regional = self.regions.lookup(request, key=key)
-            if regional is not None:
-                return regional, False, "region"
-        if flights is not None:
-            leader, flight = flights.begin(key)
-            if leader:
-                leader_flight = flight
-            else:
-                loop = asyncio.get_running_loop()
-                decision, degraded = await loop.run_in_executor(
-                    self._wait_pool, SingleFlight.wait, flight
-                )
-                if decision is not None:
-                    for sink in (self.metrics, shard.metrics):
-                        sink.record_coalesced()
-                    return decision, degraded, "cache"
-                # The leader vanished without publishing: compute for
-                # ourselves (unclaimed -- no flight to finish).
-        published = False
-        try:
-            decision, _elapsed, degraded = await compute_miss(
-                shard.pool, _shard_compute, key, request
-            )
-            if cache is not None and not degraded:
-                cache.put(key, decision)
-            if leader_flight is not None:
-                flights.finish(key, decision, degraded=degraded)
-                published = True
-            if self.regions is not None and not degraded:
-                # Region building can cost hundreds of probes; keep it
-                # off the event loop.  Awaited, so the build (when the
-                # threshold trips) lands before this decision returns
-                # -- deterministic and simple; the cost is counted and
-                # amortized by every later shape hit.
-                await asyncio.get_running_loop().run_in_executor(
-                    self._wait_pool, self.regions.observe, request
-                )
-            return decision, degraded, "computed"
-        finally:
-            if leader_flight is not None and not published:
-                flights.finish(key, None)
 
     # ------------------------------------------------------------------
     # Observability

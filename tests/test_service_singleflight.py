@@ -193,6 +193,38 @@ class TestConcurrentBatchesComputeOnce:
         assert snapshot["cache_misses"] == 1
 
 
+class TestPublishOrder:
+    def test_batch_caches_each_computed_key_before_publishing_it(
+        self, monkeypatch
+    ):
+        """A caller arriving between the two finds the entry or the
+        flight, never neither, so it cannot compute the key again."""
+        cache = DecisionCache()
+        events: list[tuple[str, str]] = []
+        put, finish = cache.put, cache.flights.finish
+
+        def spy_put(key, decision):
+            events.append(("put", key))
+            put(key, decision)
+
+        def spy_finish(key, decision, *, degraded=False):
+            events.append(("finish", key))
+            finish(key, decision, degraded=degraded)
+
+        monkeypatch.setattr(cache, "put", spy_put)
+        monkeypatch.setattr(cache.flights, "finish", spy_finish)
+        decisions = admit_batch(
+            [_request(seed, str(seed)) for seed in range(3)],
+            cache=cache,
+            workers=1,
+        )
+        assert len(events) == 6
+        for decision in decisions:
+            assert events.index(("put", decision.key)) < events.index(
+                ("finish", decision.key)
+            )
+
+
 class TestFlightHygiene:
     def test_no_flight_leaks_after_clean_batches(self):
         cache = DecisionCache()

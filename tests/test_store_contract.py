@@ -9,6 +9,7 @@ to each codec, so the four public classes cannot drift apart.
 
 from __future__ import annotations
 
+import dataclasses
 import sqlite3
 import threading
 from fractions import Fraction
@@ -103,6 +104,17 @@ def store(kind, engine):
         built.close()
 
 
+def _typed(value):
+    """``value`` with each leaf paired with its type name, dicts sorted."""
+    if dataclasses.is_dataclass(value):
+        return _typed(dataclasses.asdict(value))
+    if isinstance(value, dict):
+        return sorted((name, _typed(item)) for name, item in value.items())
+    if isinstance(value, (tuple, list)):
+        return [_typed(item) for item in value]
+    return type(value).__name__, value
+
+
 def _fill(store, kind: Kind, tags: str) -> None:
     for tag in tags:
         store.put(tag, kind.value(tag))
@@ -141,6 +153,12 @@ class TestMap:
         store.put("a", kind.value("z"))  # re-store refreshes a
         store.put("d", kind.value("d"))
         assert store.keys() == ("c", "a", "d")
+        assert store.get("a") == kind.value("z")
+
+    def test_restoring_a_key_keeps_one_entry(self, store, kind):
+        store.put("a", kind.value("a"))
+        store.put("a", kind.value("z"))
+        assert len(store) == 1 and store.keys() == ("a",)
         assert store.get("a") == kind.value("z")
 
     def test_eviction_order_across_many(self, store, kind):
@@ -235,6 +253,16 @@ class TestSnapshots:
             assert reloaded.keys() == ("b", "x", "a")
             for tag in "abx":
                 assert reloaded.get(tag) == kind.value(tag)
+
+    def test_values_keep_their_types(self, store, kind, tmp_path):
+        """Exact corners stay rational and infinite bounds stay floats."""
+        _fill(store, kind, "ax")
+        path = store.save(tmp_path / "snap.jsonl")
+        with kind.open("memory", 4) as reloaded:
+            reloaded.load(path)
+            for tag in "ax":
+                assert _typed(store.get(tag)) == _typed(kind.value(tag))
+                assert _typed(reloaded.get(tag)) == _typed(kind.value(tag))
 
     def test_smaller_reload_keeps_hottest(self, store, kind, tmp_path):
         _fill(store, kind, "abc")
