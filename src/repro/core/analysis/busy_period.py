@@ -43,11 +43,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from repro.core.analysis.fixpoint import solve_fixed_point
+from repro.core.analysis.fixpoint import DEFAULT_MAX_ITERATIONS
+
+# Unused here, but kept bound at this module's name: the benchmark's
+# tracer (perfbench/spans.py) wraps ``busy_period.solve_fixed_point``.
+from repro.core.analysis.fixpoint import solve_fixed_point  # noqa: F401
 from repro.errors import AnalysisError
 from repro.model.system import System
 from repro.model.task import SubtaskId
-from repro.timebase import ABS_EPS, FLOAT, REL_EPS, Timebase
+from repro.timebase import ABS_EPS, FLOAT, REL_EPS, Timebase, fmt
 
 __all__ = [
     "CompiledSystem",
@@ -296,54 +300,73 @@ class WarmStart:
         )
 
 
-def _busy_demand(packed: list, base, exact: bool):
-    """``W(t) = base + sum ceil((t + J)/p) e`` over ``(e, p, J)`` triples,
-    accumulated left to right onto ``base``."""
+def _solve_packed(
+    packed: list, base, onto_base: bool, start, cap, exact: bool
+):
+    """Least fixed point at or above ``start`` of the demand
+    ``W(t) = base + sum ceil((t + J)/p) e`` over ``(e, p, J)`` triples.
+
+    This is :func:`~repro.core.analysis.fixpoint.solve_fixed_point` run
+    on that demand, with the demand summed in the solver's own loop
+    instead of a callable: the same convergence rule per timebase, the
+    same guards and messages, the same iterates.  With ``onto_base`` the
+    terms are accumulated left to right onto ``base`` (a busy period);
+    otherwise they are summed from zero and ``base`` is added last (a
+    completion).  Float results depend on that order.
+
+    Returns ``(fixed point, demand evaluations)``; the fixed point is
+    ``None`` once an iterate passes ``cap``.
+    """
+    if start <= 0:
+        raise AnalysisError(f"fixed-point start must be > 0, got {start!r}")
+    current = start
     if exact:
         # Floor division works on ints and Fractions alike and skips the
         # normalized-Fraction construction a true division would pay for;
         # ``-(-a // b)`` is exact ceiling division for positive periods.
-        def demand(t):
-            total = base
+        for step in range(DEFAULT_MAX_ITERATIONS):
+            if current > cap:
+                return None, step
+            total = base if onto_base else 0
             for e, p, j in packed:
-                total += -(-(t + j) // p) * e
-            return total
-
-        return demand
-
-    ceil, eps = math.ceil, REL_EPS
-
-    def demand(t):
-        total = base
-        for e, p, j in packed:
-            total += ceil((t + j) / p - eps) * e
-        return total
-
-    return demand
-
-
-def _completion_demand(packed: list, base, exact: bool):
-    """``W(t) = base + (0 + sum ceil((t + J)/p) e)``: the interference is
-    summed from zero and ``base`` added last (float results depend on it)."""
-    if exact:
-
-        def demand(t):
-            total = 0
+                total += -(-(current + j) // p) * e
+            if not onto_base:
+                total = base + total
+            if total < current:
+                raise AnalysisError(
+                    "demand function is not monotone: "
+                    f"W({fmt(current)}) = {fmt(total)} < {fmt(current)}"
+                )
+            if total == current:
+                return total, step + 1
+            current = total
+    else:
+        ceil, eps = math.ceil, REL_EPS
+        for step in range(DEFAULT_MAX_ITERATIONS):
+            if current > cap:
+                return None, step
+            total = base if onto_base else 0.0
             for e, p, j in packed:
-                total += -(-(t + j) // p) * e
-            return base + total
-
-        return demand
-
-    ceil, eps = math.ceil, REL_EPS
-
-    def demand(t):
-        total = 0.0
-        for e, p, j in packed:
-            total += ceil((t + j) / p - eps) * e
-        return base + total
-
-    return demand
+                total += ceil((current + j) / p - eps) * e
+            if not onto_base:
+                total = base + total
+            # ``eps * max(1.0, abs(current))``: the start is positive and
+            # below 1 the monotonicity check lets an iterate fall by at
+            # most ``eps`` per step, so within the budget none reaches -1.
+            tolerance = eps * current if current > 1.0 else eps
+            if total < current - tolerance:
+                raise AnalysisError(
+                    "demand function is not monotone: "
+                    f"W({current:g}) = {total:g} < {current:g}"
+                )
+            if total - current <= tolerance:
+                return total, step + 1
+            current = total
+    raise AnalysisError(
+        "fixed-point iteration did not settle within "
+        f"{DEFAULT_MAX_ITERATIONS} steps (last iterate {fmt(current)}, "
+        f"cap {fmt(cap)})"
+    )
 
 
 def _finish(busy_period, instance_count, per_instance, bound, aborted, out):
@@ -472,12 +495,14 @@ def busy_period_kernel(
     start = wcet_sum + blocking
     if warm_busy is not None and warm_busy > start:
         start = warm_busy
-    busy_period = solve_fixed_point(
-        _busy_demand(packed + [(wcet, period, own_jitter)], blocking, exact),
+    busy_period = _solve_packed(
+        packed + [(wcet, period, own_jitter)],
+        blocking,
+        True,
         start,
         cap_busy,
-        timebase=timebase,
-    )
+        exact,
+    )[0]
     if busy_period is None:  # pragma: no cover - cap is analytic, see above
         return _DIVERGED
 
@@ -493,26 +518,22 @@ def busy_period_kernel(
     per_instance: list = []
     completions: list = []
     bound, aborted = None, False
-    previous_completion = timebase.zero
     for m in range(1, instance_count + 1):
         base = m * wcet + blocking
+        # C(m) >= C(m-1) + e; the first base is at least e already.
+        start = base if m == 1 else max(base, completion + wcet)
         cap_completion = (
             2 * ratio(base + jitter_load_interference, terms.interference_slack)
             + period
         )
-        start = max(base, previous_completion + wcet)
         if m <= len(warm_completions) and warm_completions[m - 1] > start:
             start = warm_completions[m - 1]
-        completion = solve_fixed_point(
-            _completion_demand(packed, base, exact),
-            start,
-            cap_completion,
-            timebase=timebase,
-        )
+        completion = _solve_packed(
+            packed, base, False, start, cap_completion, exact
+        )[0]
         if completion is None:  # pragma: no cover - analytic cap
             break
         completions.append(completion)
-        previous_completion = completion
         instance_bound = completion + own_jitter - (m - 1) * period
         per_instance.append(instance_bound)
         if abort_above is not None and instance_bound > abort_above:

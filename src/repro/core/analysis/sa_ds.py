@@ -108,11 +108,13 @@ def _ieert_bound(
     cutoff,
     timebase: Timebase,
     warm: WarmStart | None = None,
+    finite: bool = False,
 ):
     """Algorithm IEERT for subtask ``k``: its new bound (``inf`` when
-    unbounded).  Infinite inputs propagate without running the kernel."""
+    unbounded).  Infinite inputs propagate without running the kernel;
+    ``finite`` says the caller knows every input is finite."""
     inter_jitter = [interfering[other] for other in compiled.interferers[k]]
-    if (
+    if not finite and (
         math.isinf(own[k])
         or any(math.isinf(j) for j in inter_jitter)
         or math.isinf(blocking)
@@ -248,6 +250,13 @@ def analyze_sa_ds(
     blocking = blocking or {}
     own_blocking = [blocking.get(sid, 0) for sid in sids]
     extra = _extra_list(compiled, extra_jitter)
+    # The seed is finite and a pass that yields an infinite bound ends
+    # the iteration, so the kernel can only be handed an infinite input
+    # through an infinite blocking term or deferral.
+    finite = not any(
+        math.isinf(value)
+        for value in own_blocking + [d for d in extra if d is not None]
+    )
     lasts = [k for k in range(count) if compiled.is_last[k]]
     # readers[o]: the subtasks whose interference set contains o.
     readers: list[list[int]] = [[] for _ in range(count)]
@@ -287,6 +296,7 @@ def analyze_sa_ds(
                 cutoffs[k],
                 timebase,
                 warm[k],
+                finite,
             )
         new_bounds = list(outputs)
         # The paper's failure cutoff, checked at task level: a task whose
