@@ -48,6 +48,7 @@ from repro.regions.shape import (
     shape_key,
     system_at,
 )
+from repro.service.engine import certifying_analysis
 from repro.service.requests import AdmissionRequest
 from repro.timebase import ABS_EPS, Timebase, get_timebase
 
@@ -72,33 +73,16 @@ DEFAULT_MAX_FACTOR = 16.0
 def required_analyses(request: AdmissionRequest) -> tuple[str, ...]:
     """The analyses the shape's protocol verdicts actually depend on.
 
-    Mirrors the certification gates of
-    :func:`repro.service.engine.compute_decision` at the shape level:
-    protocols whose verdict is already determined by the shape alone
-    (PM under unsynchronized or skewed clocks; MPM/RG under a skew
-    envelope on a sectioned system -- both always False) need no
-    analysis, so a shape requesting only such protocols yields an
-    *empty* requirement and a region that decides with zero probes.
+    Each requested protocol's
+    :func:`~repro.service.engine.certifying_analysis`, de-duplicated in
+    request order.  A protocol the shape alone excludes (PM under
+    unsynchronized or skewed clocks; MPM/RG under a skew envelope on a
+    sectioned system -- always False) needs none, so a shape requesting
+    only such protocols yields an *empty* requirement and a region that
+    decides with zero probes.
     """
-    skewed = bool(request.clock_rate_bound or request.clock_jump_bound)
-    resourceful = (
-        request.shared_resources and request.system.has_critical_sections
-    )
-    needed: list[str] = []
-    for protocol in request.protocols:
-        if protocol == "DS":
-            name = "SA/DS"
-        elif protocol == "PM":
-            if not request.synchronized_clocks or skewed:
-                continue
-            name = "SA/PM"
-        else:  # MPM / RG
-            if skewed and resourceful:
-                continue
-            name = "SA/PM-skew" if skewed else "SA/PM"
-        if name not in needed:
-            needed.append(name)
-    return tuple(needed)
+    analyses = (certifying_analysis(request, p) for p in request.protocols)
+    return tuple(dict.fromkeys(a for a in analyses if a is not None))
 
 
 def probe_point(

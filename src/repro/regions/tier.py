@@ -50,6 +50,7 @@ from repro.regions.compute import (
 from repro.regions.region import FeasibilityRegion
 from repro.regions.shape import execution_vector, shape_key
 from repro.regions.store import MemoryRegionStore
+from repro.service.engine import FALLBACK_ORDER, certifying_analysis
 from repro.service.store import CacheStats
 from repro.service.hashing import request_key
 from repro.service.requests import AdmissionDecision, AdmissionRequest
@@ -123,22 +124,17 @@ class RegionTier:
         ``key`` is the request's decision-cache content key if the
         caller already computed it (it is echoed on the decision).
         """
-        skey = shape_key(request)
-        region = self.store.get(skey)
+        region = self.store.get(shape_key(request))
+        decision = None
         if region is None:
-            if self.metrics is not None:
-                self.metrics.record_region_miss()
-            return None
-        if region.timebase != self.timebase.name:
-            if self.metrics is not None:
-                self.metrics.record_region_fallback()
-            return None
-        decision = self._decide(request, region, key=key)
+            outcome = "region_misses"
+        elif region.timebase != self.timebase.name:
+            outcome = "region_fallbacks"
+        else:
+            decision = self._decide(request, region, key=key)
+            outcome = "region_fallbacks" if decision is None else "region_hits"
         if self.metrics is not None:
-            if decision is None:
-                self.metrics.record_region_fallback()
-            else:
-                self.metrics.record_region_hit()
+            self.metrics.count(**{outcome: 1})
         return decision
 
     def _decide(
@@ -158,29 +154,16 @@ class RegionTier:
         for analysis in needed:
             if not region.covers(analysis, point):
                 return None
-        # Every needed analysis covers the point: each non-gated
-        # protocol is certifiably schedulable, every gated protocol is
+        # Every needed analysis covers the point: each protocol with a
+        # certifying analysis is schedulable, every shape-gated one is
         # False by shape alone -- the verdict map is fully determined.
-        skewed = bool(request.clock_rate_bound or request.clock_jump_bound)
-        resourceful = (
-            request.shared_resources
-            and request.system.has_critical_sections
-        )
-        schedulable = {}
-        for protocol in request.protocols:
-            if protocol == "PM":
-                schedulable[protocol] = (
-                    request.synchronized_clocks and not skewed
-                )
-            elif protocol in ("MPM", "RG"):
-                schedulable[protocol] = not (skewed and resourceful)
-            else:
-                schedulable[protocol] = True
+        schedulable = {
+            protocol: certifying_analysis(request, protocol) is not None
+            for protocol in request.protocols
+        }
         certified = [p for p in request.protocols if schedulable[p]]
-        from repro.service.engine import _FALLBACK_ORDER
-
         if certified:
-            protocol = next(p for p in _FALLBACK_ORDER if p in certified)
+            protocol = next(p for p in FALLBACK_ORDER if p in certified)
             rationale = (
                 f"region tier: execution vector inside the verified "
                 f"{' + '.join(needed) if needed else 'trivial'} box of shape "
@@ -256,7 +239,7 @@ class RegionTier:
         )
         self.store.put(region.shape_key, region)
         if self.metrics is not None:
-            self.metrics.record_region_build(probes=region.probes)
+            self.metrics.count(region_builds=1, region_probes=region.probes)
         return region
 
     # ------------------------------------------------------------------

@@ -221,7 +221,7 @@ class ComputePool:
                     executor.shutdown(wait=False)
                     self.executor = self._make_executor()
                     for sink in self.sinks:
-                        sink.record_pool_rebuild()
+                        sink.count(pool_rebuilds=1)
                 if work is not None:
                     return None
             except BaseException:
@@ -249,7 +249,7 @@ async def compute_miss(
             result = await pool.run(fn, (key, request), alone=breaks > 0)
         except asyncio.TimeoutError:
             for sink in pool.sinks:
-                sink.record_timeout()
+                sink.count(timeouts=1)
             reason = f"timed out after {pool.job_timeout:g} s"
         except Exception as exc:  # noqa: BLE001 - retry, then fail closed
             reason = f"computation failed: {exc}"
@@ -267,7 +267,7 @@ async def compute_miss(
             return refusal(request, key, "degraded", reason), 0.0, True
         attempt += 1
         for sink in pool.sinks:
-            sink.record_retry()
+            sink.count(retries=1)
         if pool.retry_backoff:
             await asyncio.sleep(pool.retry_backoff * 2 ** (attempt - 1))
 
@@ -408,10 +408,7 @@ def decide_batch(
                 cache_hit=position > 0 or coalesced,
                 latency=elapsed if position == 0 else 0.0,
             )
-        if coalesced:
-            metrics.record_coalesced()
-        if degraded:
-            metrics.record_degraded()
+        metrics.count(coalesced=coalesced, degraded=degraded)
         computed += 1
         if progress is not None:
             verdict = " (degraded)" if degraded else ""

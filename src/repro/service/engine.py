@@ -31,12 +31,50 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.requests import AdmissionDecision, AdmissionRequest
 from repro.service.store import make_store
 
-__all__ = ["AdmissionController", "compute_decision"]
+__all__ = [
+    "AdmissionController",
+    "FALLBACK_ORDER",
+    "certifying_analysis",
+    "compute_decision",
+]
 
 #: Fallback preference when the advisor's pick is unavailable: Theorem 1
 #: gives RG and MPM SA/PM-grade bounds with the fewest platform
 #: assumptions; DS last because its certification is the weakest.
-_FALLBACK_ORDER: tuple[str, ...] = ("RG", "MPM", "PM", "DS")
+FALLBACK_ORDER: tuple[str, ...] = ("RG", "MPM", "PM", "DS")
+
+
+def certifying_analysis(
+    request: AdmissionRequest, protocol: str
+) -> str | None:
+    """The analysis whose verdict certifies ``protocol`` for ``request``.
+
+    ``"SA/DS"``, ``"SA/PM"`` or ``"SA/PM-skew"``; ``None`` when the
+    request's shape alone excludes the protocol, which then never
+    certifies.  :func:`compute_decision` and the region tier
+    (:mod:`repro.regions`) both read their gates from here.
+    """
+    if protocol == "DS":
+        # DS has no timers at all; clock quality is irrelevant.
+        return "SA/DS"
+    skewed = bool(request.clock_rate_bound or request.clock_jump_bound)
+    if protocol == "PM":
+        # PM's phase table is an absolute local-time schedule:
+        # unsynchronized clocks break it outright, and even a bounded
+        # skew envelope has no covering analysis (the clock study shows
+        # offset clocks inducing misses and precedence violations).
+        if request.synchronized_clocks and not skewed:
+            return "SA/PM"
+        return None
+    # MPM / RG measure durations: under a declared skew envelope the
+    # skew-inflated bounds certify them -- except on a system with
+    # critical sections, where no analysis composes the skew inflation
+    # with the blocking terms; that combination is uncertifiable.
+    if not skewed:
+        return "SA/PM"
+    if request.shared_resources and request.system.has_critical_sections:
+        return None
+    return "SA/PM-skew"
 
 
 def compute_decision(
@@ -74,41 +112,19 @@ def compute_decision(
     resourceful = (
         request.shared_resources and system.has_critical_sections
     )
-    sa_pm_skew = None
     if skewed_clocks and not resourceful:
-        sa_pm_skew = analyze_sa_pm_skewed(
+        # Run for every request with a skew envelope, whatever it asks
+        # for: its bounds are part of the decision's ``task_bounds``.
+        per_analysis["SA/PM-skew"] = analyze_sa_pm_skewed(
             system,
             rate=request.clock_rate_bound,
             jump=request.clock_jump_bound,
             compiled=compiled,
         )
-        per_analysis["SA/PM-skew"] = sa_pm_skew
 
     def _certifies(protocol: str) -> bool:
-        if protocol == "DS":
-            # DS has no timers at all; clock quality is irrelevant.
-            return sa_ds.schedulable
-        if protocol == "PM":
-            # PM's phase table is an absolute local-time schedule:
-            # unsynchronized clocks break it outright, and even a
-            # bounded skew envelope has no covering analysis (the
-            # clock study shows offset clocks inducing misses and
-            # precedence violations).
-            return (
-                sa_pm.schedulable
-                and request.synchronized_clocks
-                and not skewed_clocks
-            )
-        # MPM / RG measure durations: under a declared skew envelope
-        # the skew-inflated bounds certify them -- except on a system
-        # with critical sections, where no analysis composes the skew
-        # inflation with the blocking terms; that combination is
-        # uncertifiable outright.
-        if skewed_clocks and resourceful:
-            return False
-        if sa_pm_skew is not None:
-            return sa_pm_skew.schedulable
-        return sa_pm.schedulable
+        analysis = certifying_analysis(request, protocol)
+        return analysis is not None and per_analysis[analysis].schedulable
 
     schedulable = {
         protocol: _certifies(protocol) for protocol in request.protocols
@@ -142,7 +158,7 @@ def compute_decision(
         protocol = recommendation.protocol
         rationale = recommendation.rationale
     else:
-        protocol = next(p for p in _FALLBACK_ORDER if p in certified)
+        protocol = next(p for p in FALLBACK_ORDER if p in certified)
         reason = (
             "is not among the requested protocols"
             if recommendation.protocol not in request.protocols
@@ -264,11 +280,11 @@ class AdmissionController:
                 continue
             report = store.last_recovery
             if report is not None and not report.clean:
-                self.metrics.record_recovery(
-                    salvaged=report.salvaged, dropped=report.dropped
+                self.metrics.count(
+                    records_salvaged=report.salvaged,
+                    records_dropped=report.dropped,
                 )
-            if store.integrity_failures:
-                self.metrics.record_integrity_failure(store.integrity_failures)
+            self.metrics.count(integrity_failures=store.integrity_failures)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -45,7 +45,7 @@ import marshal
 import math
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -88,6 +88,13 @@ EXECUTORS: tuple[str, ...] = ("thread", "process")
 #: ``"flush"`` serves them before teardown, ``"shed"`` resolves them
 #: as explicit shed decisions immediately (fast stop, never silent).
 DRAIN_MODES: tuple[str, ...] = ("flush", "shed")
+
+#: The metrics counter each breaker transition, by new state, adds to.
+_BREAKER_COUNTERS = {
+    "open": "breaker_opens",
+    "half_open": "breaker_half_opens",
+    "closed": "breaker_restores",
+}
 
 
 def _content_bytes(document) -> bytes:
@@ -291,7 +298,12 @@ class FrontendConfig:
 
 
 class _Shard:
-    """One worker shard: bounded queue + compute pool + metrics + breaker."""
+    """One worker shard: bounded queue + compute pool + metrics + breaker.
+
+    What the shard observes counts twice, into its own metrics and the
+    fleet-wide aggregate: its :meth:`record` and :meth:`count` write
+    both ``sinks``, as its pool does.
+    """
 
     def __init__(
         self, index: int, config: FrontendConfig, fleet: ServiceMetrics
@@ -301,17 +313,28 @@ class _Shard:
             maxsize=config.queue_capacity
         )
         self.metrics = ServiceMetrics()
+        self.sinks = (self.metrics, fleet)
         self.pool = ComputePool(
             config.executor,
             config.workers_per_shard,
             name=f"repro-shard-{index}",
-            sinks=(self.metrics, fleet),
+            sinks=self.sinks,
             job_timeout=config.job_timeout,
             max_retries=config.max_retries,
             retry_backoff=config.retry_backoff,
         )
         self.workers: list[asyncio.Task] = []
         self.breaker: CircuitBreaker | None = None  # set by the frontend
+
+    def record(self, **served) -> None:
+        """:meth:`ServiceMetrics.record` into both sinks."""
+        for sink in self.sinks:
+            sink.record(**served)
+
+    def count(self, **increments: int) -> None:
+        """:meth:`ServiceMetrics.count` into both sinks."""
+        for sink in self.sinks:
+            sink.count(**increments)
 
 
 class AdmissionFrontend:
@@ -383,13 +406,7 @@ class AdmissionFrontend:
         def on_transition(
             old: str, new: str, shard: _Shard = shard
         ) -> None:
-            for sink in (self.metrics, shard.metrics):
-                if new == "open":
-                    sink.record_breaker_open()
-                elif new == "half_open":
-                    sink.record_breaker_half_open()
-                elif new == "closed":
-                    sink.record_breaker_restore()
+            shard.count(**{_BREAKER_COUNTERS[new]: 1})
 
         return CircuitBreaker(
             BreakerConfig(
@@ -450,8 +467,7 @@ class AdmissionFrontend:
                 else:
                     depth = shard.queue.qsize()
                     if depth:
-                        self.metrics.record_drain(flushed=depth)
-                        shard.metrics.record_drain(flushed=depth)
+                        shard.count(drain_flushed=depth)
                 for _ in shard.workers:
                     await shard.queue.put(None)  # one sentinel per worker
             for shard in self._shards:
@@ -474,9 +490,7 @@ class AdmissionFrontend:
             if item is None:
                 continue
             request, key, future, _started_at = item
-            for sink in (self.metrics, shard.metrics):
-                sink.record_shed()
-                sink.record_drain(shed=1)
+            shard.count(shed=1, drain_shed=1)
             if shard.breaker is not None:
                 shard.breaker.record_void()
             if not future.done():
@@ -530,8 +544,7 @@ class AdmissionFrontend:
         for offset in range(1, count):
             candidate = self._shards[(primary + offset) % count]
             if candidate.breaker is None or candidate.breaker.allow():
-                self.metrics.record_reroute()
-                candidate.metrics.record_reroute()
+                candidate.count(rerouted=1)
                 return candidate
         return shard
 
@@ -542,7 +555,7 @@ class AdmissionFrontend:
             )
 
     def _quota_shed(self, request: AdmissionRequest) -> AdmissionDecision:
-        self.metrics.record_shed()
+        self.metrics.count(shed=1)
         return refusal(
             request,
             "",
@@ -563,11 +576,11 @@ class AdmissionFrontend:
             # A cache hit never touches the executor: return any
             # half-open probe permit unspent.
             shard.breaker.record_void()
-        latency = time.perf_counter() - started
-        for sink in (self.metrics, shard.metrics):
-            sink.record(
-                admitted=cached.admitted, cache_hit=True, latency=latency
-            )
+        shard.record(
+            admitted=cached.admitted,
+            cache_hit=True,
+            latency=time.perf_counter() - started,
+        )
         return replace(cached, request_id=request_id)
 
     async def admit(
@@ -688,8 +701,7 @@ class AdmissionFrontend:
         except asyncio.QueueFull:
             if shard.breaker is not None:
                 shard.breaker.record_void()
-            self.metrics.record_shed()
-            shard.metrics.record_shed()
+            shard.count(shed=1)
             return refusal(
                 request,
                 key,
@@ -741,18 +753,13 @@ class AdmissionFrontend:
                         shard.breaker.record_success()
                 else:
                     shard.breaker.record_void()
-            latency = time.perf_counter() - started
-            for sink in (self.metrics, shard.metrics):
-                sink.record(
-                    admitted=decision.admitted,
-                    cache_hit=source in ("cache", "coalesced"),
-                    region_hit=source == "region",
-                    latency=latency,
-                )
-                if source == "coalesced":
-                    sink.record_coalesced()
-                if degraded:
-                    sink.record_degraded()
+            shard.record(
+                admitted=decision.admitted,
+                cache_hit=source in ("cache", "coalesced"),
+                region_hit=source == "region",
+                latency=time.perf_counter() - started,
+            )
+            shard.count(coalesced=source == "coalesced", degraded=degraded)
             if not future.done():
                 future.set_result(
                     replace(decision, request_id=request.request_id)
@@ -779,24 +786,10 @@ class AdmissionFrontend:
             ],
         }
         if self.cache is not None:
-            stats = self.cache.stats()
-            result["cache"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "size": stats.size,
-                "capacity": stats.capacity,
-                "coalesced": stats.coalesced,
-            }
+            result["cache"] = asdict(self.cache.stats())
         if self.regions is not None:
-            stats = self.regions.stats()
-            result["regions"] = {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "size": stats.size,
-                "capacity": stats.capacity,
-            }
+            result["regions"] = asdict(self.regions.stats())
+            del result["regions"]["coalesced"]  # region stores never coalesce
         return result
 
     def describe(self) -> str:

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.service.metrics import ServiceMetrics, percentile
+from repro.service.metrics import COUNTERS, ServiceMetrics, percentile
 
 
 class TestPercentile:
@@ -122,16 +122,16 @@ class TestServiceCounters:
     def test_shed_is_not_a_served_request(self):
         metrics = ServiceMetrics()
         metrics.record(admitted=True, cache_hit=False, latency=0.001)
-        metrics.record_shed()
-        metrics.record_shed()
+        metrics.count(shed=1)
+        metrics.count(shed=1)
         snap = metrics.snapshot()
         assert snap["requests"] == 1
         assert snap["shed"] == 2
 
     def test_coalesced_and_pool_rebuild_counters(self):
         metrics = ServiceMetrics()
-        metrics.record_coalesced()
-        metrics.record_pool_rebuild()
+        metrics.count(coalesced=1)
+        metrics.count(pool_rebuilds=1)
         snap = metrics.snapshot()
         assert snap["coalesced"] == 1
         assert snap["pool_rebuilds"] == 1
@@ -156,10 +156,70 @@ class TestServiceCounters:
         quiet.record(admitted=True, cache_hit=False, latency=0.001)
         assert "backpressure" not in quiet.describe()
         busy = ServiceMetrics()
-        busy.record_shed()
+        busy.count(shed=1)
         assert "backpressure: 1 shed" in busy.describe()
 
     def test_describe_robustness_line_includes_rebuilds(self):
         metrics = ServiceMetrics()
-        metrics.record_pool_rebuild()
+        metrics.count(pool_rebuilds=1)
         assert "1 pool rebuild(s)" in metrics.describe()
+
+
+class TestCount:
+    """``count()``: the one way to move a counter by name."""
+
+    def test_counters_are_the_snapshot_prefix(self):
+        names = [name for name, _meaning in COUNTERS]
+        assert len(set(names)) == len(names)
+        snap = ServiceMetrics().snapshot()
+        assert list(snap)[: len(names)] == names
+
+    def test_unknown_name_raises_and_changes_nothing(self):
+        metrics = ServiceMetrics()
+        with pytest.raises(KeyError, match="shedd"):
+            metrics.count(shed=1, shedd=1)
+        assert "shedd" not in metrics.snapshot()
+        assert metrics.snapshot()["shed"] == 0
+
+    def test_increments_add_up(self):
+        metrics = ServiceMetrics()
+        metrics.count(region_builds=1, region_probes=7)
+        metrics.count(region_builds=1, region_probes=0, rerouted=False)
+        snap = metrics.snapshot()
+        assert (snap["region_builds"], snap["region_probes"]) == (2, 7)
+        assert snap["rerouted"] == 0
+
+    @pytest.mark.parametrize(
+        "name, line",
+        [
+            ("timeouts", "robustness:"),
+            ("retries", "robustness:"),
+            ("degraded", "robustness:"),
+            ("pool_rebuilds", "robustness:"),
+            ("shed", "backpressure:"),
+            ("coalesced", "backpressure:"),
+            ("region_hits", "regions:"),
+            ("region_misses", "regions:"),
+            ("region_fallbacks", "regions:"),
+            ("region_builds", "regions:"),
+            ("records_salvaged", "durability:"),
+            ("records_dropped", "durability:"),
+            ("integrity_failures", "durability:"),
+            ("breaker_opens", "supervision:"),
+            ("breaker_half_opens", "supervision:"),
+            ("breaker_restores", "supervision:"),
+            ("rerouted", "supervision:"),
+            ("drain_flushed", "drain:"),
+            ("drain_shed", "drain:"),
+        ],
+    )
+    def test_each_gating_counter_shows_its_line_alone(self, name, line):
+        metrics = ServiceMetrics()
+        metrics.count(**{name: 1})
+        optional = metrics.describe().splitlines()[3:]
+        assert [text.split()[0] for text in optional] == [line]
+
+    def test_probes_alone_show_no_regions_line(self):
+        metrics = ServiceMetrics()
+        metrics.count(region_probes=5)
+        assert len(metrics.describe().splitlines()) == 3
