@@ -49,19 +49,29 @@ def _best_of(repetitions, thunk):
 
 
 def test_exact_analysis_within_5x_of_float():
-    """The acceptance bound: exact analysis <= 5x float, best-of-5."""
+    """The acceptance bound: exact analysis <= 5x float, best-of-5.
+
+    The whole table is measured and saved before any row is checked, so
+    one analysis over the bound does not hide the other's ratio.
+    """
     system = generate_system(_CONFIG, seed=0)
     lines = ["analysis      float      exact    ratio"]
+    ratios = {}
     for label, run in (
         ("SA/PM", lambda tb: analyze_sa_pm(system, timebase=tb)),
         ("SA/DS", lambda tb: analyze_sa_ds(system, timebase=tb)),
     ):
         float_best = _best_of(5, lambda: run("float"))
         exact_best = _best_of(5, lambda: run("exact"))
-        ratio = exact_best / float_best
+        ratios[label] = ratio = exact_best / float_best
         lines.append(
             f"{label:<10} {float_best * 1e3:7.2f}ms {exact_best * 1e3:7.2f}ms"
             f" {ratio:7.2f}x"
         )
-        assert ratio < 5.0, f"{label}: exact is {ratio:.2f}x float (limit 5x)"
     save_and_print("timebase_ratio", "\n".join(lines))
+    over = [
+        f"{label}: exact is {ratio:.2f}x float"
+        for label, ratio in ratios.items()
+        if ratio >= 5.0
+    ]
+    assert not over, "; ".join(over) + " (limit 5x)"

@@ -41,8 +41,8 @@ class AnalysisResult:
         Upper bounds on the end-to-end response time of each task, by
         task index; ``math.inf`` on failure.
     iterations:
-        Outer iterations used (1 for SA/PM; the fixed-point pass count
-        for SA/DS).
+        Outer iterations used (1 for SA/PM; for SA/DS the Gauss-Seidel
+        sweeps when their result is served, else the Jacobi passes).
     """
 
     system: System

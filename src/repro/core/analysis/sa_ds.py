@@ -191,78 +191,95 @@ def ieert_pass(
     }
 
 
-def analyze_sa_ds(
-    system: System,
-    *,
-    failure_factor: float = FAILURE_FACTOR,
-    max_iterations: int = 300,
-    timebase: Timebase | str = FLOAT,
-    blocking: Mapping[SubtaskId, float] | None = None,
-    extra_jitter: Mapping[SubtaskId, float] | None = None,
-    compiled: CompiledSystem | None = None,
-) -> AnalysisResult:
-    """Run Algorithm SA/DS over a system.
+class _Problem:
+    """One SA/DS call as index arrays: what both iterations share.
 
-    Returns an :class:`AnalysisResult` whose ``subtask_bounds`` are IEER
-    bounds and whose ``task_bounds`` are the IEER bounds of last subtasks
-    (= the EER bounds).  ``result.failed`` is True when some task's bound
-    exceeded the failure cutoff (reported as infinity), reproducing the
-    paper's failure statistic for Figure 12.  ``blocking`` and
-    ``extra_jitter`` are handed to every IEERT pass (see
-    :func:`ieert_pass`); both default to the resource-free base case.
-    ``compiled`` is ``system`` already compiled in ``timebase``, when
-    the caller shares one compilation between analyses.
-
-    Each pass equals one :func:`ieert_pass`, run as a worklist: subtask
-    ``k`` is recomputed only when its own jitter (its predecessor's
-    bound) or the interference jitter of one of its interferers is not
-    ``==`` to the value the previous pass used; otherwise its previous
-    output carries forward.  The busy-period kernel is a pure function
-    of those inputs, so every pass's bounds -- and with them convergence
-    and the pass count -- are exactly those of full passes.  A
-    recomputed subtask warm-starts: its busy period and completions
-    resume from the fixed points of its previous run (a
-    :class:`~repro.core.analysis.busy_period.WarmStart` per subtask),
-    which changes the iteration counts but not the fixed points.
-
-    Raises
-    ------
-    AnalysisError
-        Only if the iteration neither converges nor trips the cutoff
-        within ``max_iterations`` passes -- the monotone iteration makes
-        this practically unreachable; it guards against degenerate float
-        behaviour.
+    ``seed`` holds the SA/DS seed bounds in ``compiled.sids`` order,
+    ``cutoffs[k]`` is ``failure_factor * p_k`` (the per-instance abort,
+    and at last subtasks the task-level cutoff), and ``readers[o]`` lists
+    the subtasks whose interference set contains ``o``.
     """
-    if max_iterations < 1:
-        raise AnalysisError(
-            f"max_iterations must be >= 1, got {max_iterations!r}"
-        )
-    timebase = get_timebase(timebase)
-    compiled = compiled_for(system, timebase, compiled)
-    sids = compiled.sids
-    count = len(sids)
-    seed = initial_ieer_bounds(system, timebase=timebase)
-    bounds = [seed[sid] for sid in sids]
-    cutoff_factor = timebase.convert(failure_factor)
-    # failure_factor * p_i: the per-instance abort, and at last subtasks
-    # the task-level cutoff.
-    cutoffs = [cutoff_factor * period for period in compiled.period]
-    blocking = blocking or {}
-    own_blocking = [blocking.get(sid, 0) for sid in sids]
-    extra = _extra_list(compiled, extra_jitter)
-    # The seed is finite and a pass that yields an infinite bound ends
-    # the iteration, so the kernel can only be handed an infinite input
-    # through an infinite blocking term or deferral.
-    finite = not any(
-        math.isinf(value)
-        for value in own_blocking + [d for d in extra if d is not None]
+
+    __slots__ = (
+        "compiled",
+        "timebase",
+        "seed",
+        "cutoffs",
+        "own_blocking",
+        "extra",
+        "finite",
+        "lasts",
+        "readers",
     )
-    lasts = [k for k in range(count) if compiled.is_last[k]]
-    # readers[o]: the subtasks whose interference set contains o.
-    readers: list[list[int]] = [[] for _ in range(count)]
-    for k, interferers in enumerate(compiled.interferers):
-        for other in interferers:
-            readers[other].append(k)
+
+    def __init__(
+        self,
+        compiled: CompiledSystem,
+        failure_factor: float,
+        blocking: Mapping[SubtaskId, float] | None,
+        extra_jitter: Mapping[SubtaskId, float] | None,
+    ) -> None:
+        self.compiled = compiled
+        self.timebase = timebase = compiled.timebase
+        sids = compiled.sids
+        count = len(sids)
+        seed = initial_ieer_bounds(compiled.system, timebase=timebase)
+        self.seed = [seed[sid] for sid in sids]
+        cutoff_factor = timebase.convert(failure_factor)
+        self.cutoffs = [cutoff_factor * period for period in compiled.period]
+        blocking = blocking or {}
+        self.own_blocking = [blocking.get(sid, 0) for sid in sids]
+        self.extra = _extra_list(compiled, extra_jitter)
+        # The seed is finite and an infinite bound ends either iteration,
+        # so the kernel can only be handed an infinite input through an
+        # infinite blocking term or deferral.
+        self.finite = not any(
+            math.isinf(value)
+            for value in self.own_blocking
+            + [d for d in self.extra if d is not None]
+        )
+        self.lasts = [k for k in range(count) if compiled.is_last[k]]
+        self.readers: list[list[int]] = [[] for _ in range(count)]
+        for k, interferers in enumerate(compiled.interferers):
+            for other in interferers:
+                self.readers[other].append(k)
+
+    def jitters(self, bounds: Sequence) -> tuple[list, list]:
+        """Own and interfering jitter of every subtask under ``bounds``."""
+        return _jitters(
+            [bounds[p] if p >= 0 else 0 for p in self.compiled.predecessor],
+            self.extra,
+            self.timebase,
+        )
+
+    def bound(self, k: int, own, interfering, warm: WarmStart):
+        """Algorithm IEERT for subtask ``k`` on these jitters."""
+        return _ieert_bound(
+            self.compiled,
+            k,
+            own,
+            interfering,
+            self.own_blocking[k],
+            self.cutoffs[k],
+            self.timebase,
+            warm,
+            self.finite,
+        )
+
+
+def _jacobi(
+    problem: _Problem, failure_factor: float, max_iterations: int
+) -> tuple[list, int, bool, list[str]]:
+    """SA/DS as Jacobi passes: pass *n* reads only pass *n-1*'s bounds.
+
+    The reference iteration: it decides failures, their lower-estimate
+    bounds and the meaning of ``max_iterations``.  Each pass equals one
+    :func:`ieert_pass`, run as a worklist (see :func:`analyze_sa_ds`).
+    Returns ``(bounds, passes, failed, notes)``.
+    """
+    count = len(problem.seed)
+    bounds = list(problem.seed)
+    cutoffs, lasts, readers = problem.cutoffs, problem.lasts, problem.readers
     warm = [WarmStart() for _ in range(count)]
     outputs: list = [None] * count
     own = interfering = None
@@ -272,11 +289,7 @@ def analyze_sa_ds(
     while True:
         iterations += 1
         previous_own, previous_interfering = own, interfering
-        own, interfering = _jitters(
-            [bounds[p] if p >= 0 else 0 for p in compiled.predecessor],
-            extra,
-            timebase,
-        )
+        own, interfering = problem.jitters(bounds)
         if previous_own is None:
             stale = range(count)
         else:
@@ -287,17 +300,7 @@ def analyze_sa_ds(
                         marked[k] = True
             stale = [k for k in range(count) if marked[k]]
         for k in stale:
-            outputs[k] = _ieert_bound(
-                compiled,
-                k,
-                own,
-                interfering,
-                own_blocking[k],
-                cutoffs[k],
-                timebase,
-                warm[k],
-                finite,
-            )
+            outputs[k] = problem.bound(k, own, interfering, warm[k])
         new_bounds = list(outputs)
         # The paper's failure cutoff, checked at task level: a task whose
         # EER bound exceeds failure_factor periods is declared unbounded.
@@ -312,7 +315,7 @@ def analyze_sa_ds(
                 f"{iterations} IEERT pass(es)"
             )
             break
-        if timebase.exact:
+        if problem.timebase.exact:
             converged = new_bounds == bounds
         else:
             converged = all(
@@ -336,9 +339,169 @@ def analyze_sa_ds(
                 f"bounds still growing -- declared failure"
             )
             break
+    return bounds, iterations, failed, notes
+
+
+def _chaotic(
+    problem: _Problem, max_iterations: int
+) -> tuple[list, int] | None:
+    """SA/DS as Gauss-Seidel sweeps; ``None`` where Jacobi must answer.
+
+    A sweep visits the dirty subtasks in ``compiled.sids`` order (chain
+    order within each task) and reads every bound as soon as it is
+    written.  A bound that moves updates its successor's jitters in
+    place and marks the successor and the successor's readers dirty;
+    the sweeps stop once nothing is dirty.
+
+    ``level[k]`` is the Jacobi depth of bound ``k``: 1 + the largest
+    depth among the bounds its last moving run read (seed bounds are at
+    depth 0).  IEERT is monotone and both iterations start at the seed,
+    so a bound written at depth ``d`` is at most Jacobi pass ``d``'s
+    value, and the Jacobi passes reach this fixed point -- the least
+    one -- by pass ``max(level)`` and confirm it on the pass after.
+    The sweeps give way as soon as a depth reaches ``max_iterations``
+    (depths only grow) or a bound trips the failure cutoff.  A bound
+    that moves in sweep ``s`` has depth at least ``s``, so the sweeps
+    also settle within ``max_iterations``.
+
+    Under the float timebase the sweeps also give way when a bound moves
+    by no more than the outer stopping tolerance.  There Jacobi's
+    relative stopping test may stop short of the fixed point, and the
+    tolerant busy-period solver is monotone only up to that tolerance
+    (a bound can even fall), so only the Jacobi passes give Jacobi's
+    answer.  Returns ``(bounds, sweeps)``.
+    """
+    compiled, timebase = problem.compiled, problem.timebase
+    convert, exact = timebase.convert, timebase.exact
+    count = len(problem.seed)
+    bounds = list(problem.seed)
+    cutoffs, extra, readers = problem.cutoffs, problem.extra, problem.readers
+    is_last, predecessor = compiled.is_last, compiled.predecessor
+    # reads[k]: the bounds subtask k's jitters are built from.
+    reads = [
+        [
+            predecessor[o]
+            for o in (k, *compiled.interferers[k])
+            if predecessor[o] >= 0
+        ]
+        for k in range(count)
+    ]
+    own, interfering = problem.jitters(bounds)
+    warm = [WarmStart() for _ in range(count)]
+    level = [0] * count
+    dirty = [True] * count
+    sweeps = 0
+    while True in dirty:
+        sweeps += 1
+        for k in range(count):
+            if not dirty[k]:
+                continue
+            dirty[k] = False
+            value = problem.bound(k, own, interfering, warm[k])
+            if math.isinf(value) or (is_last[k] and value > cutoffs[k]):
+                return None
+            old = bounds[k]
+            moved = value != old
+            if (
+                moved
+                and not exact
+                and abs(value - old) <= _CONVERGENCE_RTOL * max(1.0, old)
+            ):
+                return None
+            # Stored even when ``==``: the kernel's value, as Jacobi has it
+            # (an exact ``int`` may replace an equal seed ``Fraction``).
+            bounds[k] = value
+            if moved:
+                level[k] = 1 + max((level[r] for r in reads[k]), default=0)
+                if level[k] >= max_iterations:
+                    return None
+            if is_last[k]:
+                continue
+            successor = k + 1
+            own[successor] = convert(value)
+            deferral = extra[successor]
+            interfering[successor] = (
+                own[successor]
+                if deferral is None
+                else convert(value + deferral)
+            )
+            if moved:
+                dirty[successor] = True
+                for reader in readers[successor]:
+                    dirty[reader] = True
+    return bounds, sweeps
+
+
+def analyze_sa_ds(
+    system: System,
+    *,
+    failure_factor: float = FAILURE_FACTOR,
+    max_iterations: int = 300,
+    timebase: Timebase | str = FLOAT,
+    blocking: Mapping[SubtaskId, float] | None = None,
+    extra_jitter: Mapping[SubtaskId, float] | None = None,
+    compiled: CompiledSystem | None = None,
+) -> AnalysisResult:
+    """Run Algorithm SA/DS over a system.
+
+    Returns an :class:`AnalysisResult` whose ``subtask_bounds`` are IEER
+    bounds and whose ``task_bounds`` are the IEER bounds of last subtasks
+    (= the EER bounds).  ``result.failed`` is True when some task's bound
+    exceeded the failure cutoff (reported as infinity), reproducing the
+    paper's failure statistic for Figure 12.  ``blocking`` and
+    ``extra_jitter`` are handed to every IEERT pass (see
+    :func:`ieert_pass`); both default to the resource-free base case.
+    ``compiled`` is ``system`` already compiled in ``timebase``, when
+    the caller shares one compilation between analyses.
+
+    The answer is that of Jacobi passes, each equal to one
+    :func:`ieert_pass` from :func:`initial_ieer_bounds`, under the
+    stopping rule below.  It is computed first by Gauss-Seidel sweeps
+    that read each bound as soon as it is updated; they reach the same
+    least fixed point in fewer kernel runs (IEERT is monotone; Cousot &
+    Cousot's chaotic iteration).  Where the sweeps cannot vouch for the
+    Jacobi answer -- a bound trips the failure cutoff, or Jacobi would
+    need more than ``max_iterations`` passes -- the Jacobi passes run
+    instead, so failed results, their lower-estimate bounds and notes,
+    and the meaning of ``max_iterations`` are Jacobi's.
+    ``result.iterations`` counts the sweeps when the sweeps' result is
+    served, else the passes.
+
+    Both iterations run as worklists: subtask ``k`` is recomputed only
+    when its own jitter (its predecessor's bound) or the interference
+    jitter of one of its interferers is not ``==`` to the value its
+    previous run used; otherwise its previous output carries forward.
+    The busy-period kernel is a pure function of those inputs, so every
+    Jacobi pass's bounds -- and with them convergence and the pass count
+    -- are exactly those of full passes.  A recomputed subtask
+    warm-starts: its busy period and completions resume from the fixed
+    points of its previous run (a
+    :class:`~repro.core.analysis.busy_period.WarmStart` per subtask),
+    which changes the iteration counts but not the fixed points.
+
+    Raises
+    ------
+    AnalysisError
+        When ``max_iterations < 1``.
+    """
+    if max_iterations < 1:
+        raise AnalysisError(
+            f"max_iterations must be >= 1, got {max_iterations!r}"
+        )
+    timebase = get_timebase(timebase)
+    compiled = compiled_for(system, timebase, compiled)
+    problem = _Problem(compiled, failure_factor, blocking, extra_jitter)
+    served = _chaotic(problem, max_iterations)
+    if served is None:
+        bounds, iterations, failed, notes = _jacobi(
+            problem, failure_factor, max_iterations
+        )
+    else:
+        (bounds, iterations), failed, notes = served, False, []
+    cutoffs = problem.cutoffs
     task_bounds = []
     first = 0
-    for last in lasts:
+    for last in problem.lasts:
         value = bounds[last]
         # IEER bounds grow along a chain, so an infinite bound anywhere on
         # the chain means the task's EER bound is infinite -- even when the
@@ -359,7 +522,7 @@ def analyze_sa_ds(
     return AnalysisResult(
         system=system,
         algorithm="SA/DS",
-        subtask_bounds=dict(zip(sids, bounds)),
+        subtask_bounds=dict(zip(compiled.sids, bounds)),
         task_bounds=tuple(task_bounds),
         iterations=iterations,
         notes=tuple(notes),

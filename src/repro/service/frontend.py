@@ -38,11 +38,13 @@ width, or cache backend -- the property tests assert exactly that.
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import functools
 import hashlib
 import json
 import marshal
 import math
+import os
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
@@ -827,6 +829,37 @@ class AdmissionFrontend:
 MAX_LINE_BYTES = 2**16
 
 
+#: glibc ``mallopt`` parameter numbers (``<malloc.h>``).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _pin_allocator() -> None:
+    """Fix glibc's mmap and trim thresholds for this process, once.
+
+    asyncio's selector transport reads every socket into a fresh
+    256 KiB buffer.  That is above glibc's initial 128 KiB mmap
+    threshold, which glibc raises only after a mapped chunk that large
+    has been freed; until then each read maps, faults in and unmaps new
+    pages.  So the wire path's cost would depend on what the process
+    happened to allocate before it served.  A 512 KiB mmap threshold
+    keeps the buffers on the heap; a fixed threshold also fixes the trim
+    threshold, so it is raised to 1 MiB, or freeing a buffer at the top
+    of the heap would hand its pages back each time.  A no-op on any
+    other libc.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 512 * 1024)
+    mallopt(_M_TRIM_THRESHOLD, 1024 * 1024)
+
+
 async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
     """The next line; ``b""`` at end of stream, ``None`` for a line over
     :data:`MAX_LINE_BYTES`.
@@ -866,8 +899,10 @@ async def serve_frontend(
     to decode as a request -- gets exactly one ``{"error": ...}`` line
     and the connection stays open.  The returned server is started;
     callers own its lifetime (``server.close()`` /
-    ``await server.wait_closed()``).
+    ``await server.wait_closed()``).  Under glibc the first call pins the
+    allocator's thresholds (see :func:`_pin_allocator`).
     """
+    _pin_allocator()
 
     async def handle(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -1,18 +1,21 @@
-"""The worklist SA/DS equals plain iteration of the public IEERT pass.
+"""SA/DS's sweeps and worklist passes equal plain iteration of IEERT.
 
-``analyze_sa_ds`` recomputes a subtask only when one of its inputs
-changed since the previous pass, and resumes its busy-period fixed
-points from the previous pass's (warm start).  These tests pin both
-independently of the golden corpus: on random systems with random
-blocking terms and interference jitter, and on a seeded sweep over the
-benchmark's miss cells, on both timebases, the result must equal
-iterating the cold :func:`ieert_pass` from :func:`initial_ieer_bounds`
-under SA/DS's stopping rule -- the same bounds (by type and ``repr``),
-the same pass count and the same notes.  Two float properties aim
-where the float solver's stopping tolerance could split a warm run from
-a cold one: demand sums within the tolerance of a ceiling step, and
-execution times below the tolerance.  The kernel tests pin the warm
-start's input guard and its timebase units.
+``analyze_sa_ds`` answers with Gauss-Seidel sweeps where they vouch for
+the Jacobi answer and with Jacobi worklist passes otherwise; both
+recompute a subtask only when one of its inputs changed and resume its
+busy-period fixed points from its previous run (warm start).  These
+tests pin the result independently of the golden corpus: on random
+systems with random blocking terms and interference jitter, on small
+iteration budgets, on systems that trip the failure cutoff, and on a
+seeded sweep over the benchmark's miss cells, on both timebases, it
+must equal iterating the cold :func:`ieert_pass` from
+:func:`initial_ieer_bounds` under SA/DS's stopping rule -- the same
+bounds (by type and ``repr``), the same ``failed`` and the same notes,
+in no more sweeps than passes.  Two float properties aim where the
+float solver's stopping tolerance could split a warm run from a cold
+one, or a sweep from a pass: demand sums within the tolerance of a
+ceiling step, and execution times below the tolerance.  The kernel
+tests pin the warm start's input guard and its timebase units.
 """
 
 from __future__ import annotations
@@ -128,8 +131,13 @@ def _assert_worklist_equals_full_passes(system, options) -> None:
     result = analyze_sa_ds(system, **options)
     bounds, passes, notes = _full_pass_sa_ds(system, **options)
     assert _tokens(result.subtask_bounds) == _tokens(bounds)
-    assert result.iterations == passes
+    assert result.failed is bool(notes)
     assert list(result.notes) == notes
+    # Sweeps where the sweeps' result is served, passes where Jacobi's is;
+    # a failed result is always Jacobi's.
+    assert result.iterations <= passes
+    if result.failed:
+        assert result.iterations == passes
 
 
 configs = st.builds(
@@ -183,12 +191,79 @@ def test_worklist_equals_full_passes(case, failure_factor, max_iterations):
     _assert_worklist_equals_full_passes(system, options)
 
 
-def test_worklist_skips_settled_subtasks(monkeypatch):
-    """The skip rule is live: a multi-pass analysis runs the kernel fewer
-    times than full passes would."""
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=cases(), max_iterations=st.integers(1, 5))
+def test_sweeps_equal_passes_under_small_budgets(case, max_iterations):
+    """Budgets of a few passes: the sweeps often settle within the budget
+    while Jacobi would need more passes, and the Jacobi answer (usually a
+    declared failure) must be the one served."""
+    system, timebase, blocking, extra_jitter = case
+    _assert_worklist_equals_full_passes(
+        system,
+        _options(timebase, blocking, extra_jitter)
+        | {"max_iterations": max_iterations},
+    )
+
+
+#: Systems near saturation with a cutoff of a few periods: about 40% of
+#: the draws trip the failure cutoff.
+heavy_configs = st.builds(
+    WorkloadConfig,
+    subtasks_per_task=st.integers(2, 5),
+    utilization=st.floats(0.85, 0.95),
+    tasks=st.integers(4, 8),
+    processors=st.integers(2, 3),
+)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    config=heavy_configs,
+    seed=st.integers(0, 10_000),
+    timebase=st.sampled_from(["float", "exact"]),
+    failure_factor=st.sampled_from([2.0, 4.0, 8.0]),
+)
+def test_sweeps_equal_passes_on_cutoff_tripping_systems(
+    config, seed, timebase, failure_factor
+):
+    """A bound past the cutoff hands the analysis to Jacobi: the failed
+    result's lower-estimate bounds and notes are the passes' own."""
+    _assert_worklist_equals_full_passes(
+        generate_system(config, seed),
+        _options(timebase) | {"failure_factor": failure_factor},
+    )
+
+
+def test_budget_counts_jacobi_passes():
+    """``max_iterations`` keeps its meaning: a budget one short of the
+    passes Jacobi needs declares failure even though the sweeps settle
+    well within it; the full budget serves the sweeps' result."""
     system = generate_system(
         WorkloadConfig(subtasks_per_task=5, utilization=0.7), 1
     )
+    bounds, passes, _ = _full_pass_sa_ds(system, **_options())
+    served = analyze_sa_ds(system)
+    assert served.iterations < passes - 1
+    assert _tokens(served.subtask_bounds) == _tokens(bounds)
+    short = analyze_sa_ds(system, max_iterations=passes - 1)
+    assert short.failed
+    assert short.iterations == passes - 1
+    assert short.notes[0] == (
+        f"no fixed point within {passes - 1} IEERT passes; "
+        f"bounds still growing -- declared failure"
+    )
+
+
+def _count_kernel_runs(monkeypatch) -> list[SubtaskId]:
+    """Record the subtask of every kernel run SA/DS makes from now on."""
     calls = []
     kernel = sa_ds_module.busy_period_kernel
 
@@ -197,6 +272,39 @@ def test_worklist_skips_settled_subtasks(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(sa_ds_module, "busy_period_kernel", counted)
+    return calls
+
+
+def _passes_only(monkeypatch) -> None:
+    """Switch the sweeps off: the Jacobi passes answer every analysis."""
+    monkeypatch.setattr(sa_ds_module, "_chaotic", lambda *args: None)
+
+
+def test_sweeps_run_fewer_kernels_than_passes(monkeypatch):
+    """The sweeps are live: they reach the passes' bounds in well under
+    the passes' kernel runs."""
+    system = generate_system(
+        WorkloadConfig(subtasks_per_task=5, utilization=0.7), 1
+    )
+    calls = _count_kernel_runs(monkeypatch)
+    swept = analyze_sa_ds(system)
+    sweep_runs = len(calls)
+    _passes_only(monkeypatch)
+    del calls[:]
+    passed = analyze_sa_ds(system)
+    assert _tokens(swept.subtask_bounds) == _tokens(passed.subtask_bounds)
+    assert swept.iterations < passed.iterations
+    assert sweep_runs < 0.6 * len(calls)
+
+
+def test_worklist_skips_settled_subtasks(monkeypatch):
+    """The passes' skip rule is live: a multi-pass analysis runs the
+    kernel fewer times than full passes would."""
+    system = generate_system(
+        WorkloadConfig(subtasks_per_task=5, utilization=0.7), 1
+    )
+    calls = _count_kernel_runs(monkeypatch)
+    _passes_only(monkeypatch)
     result = analyze_sa_ds(system)
     assert result.iterations >= 3
     assert len(calls) < result.iterations * len(system.subtask_ids)
@@ -337,6 +445,41 @@ def wide_scale_systems(draw):
 def test_warm_start_equals_cold_passes_across_time_scales(system):
     """Float: a demand step within the solver's tolerance makes where an
     iteration stops depend on where it starts; such runs start cold."""
+    _assert_worklist_equals_full_passes(system, _options())
+
+
+def test_bound_falling_within_tolerance_is_answered_by_passes():
+    """Regression: a 2 ms task beside 1e5-1e7 periods.  The tolerant
+    solver is monotone only up to REL_EPS, so T2,1's bound falls by
+    5e-4 on a later run and Jacobi stops on its relative test one pass
+    before the sweeps would; the sweeps must give way to the passes."""
+    tasks = [
+        (0.002, [(0.00026256007798941745, "P1"), (0.0003, "P2")]),
+        (
+            1e7,
+            [
+                (1756461.4627618345, "P1"),
+                (244835.20494228034, "P1"),
+                (1631691.9167314265, "P2"),
+            ],
+        ),
+        (
+            2e5,
+            [
+                (57481.76472671325, "P1"),
+                (20000.0, "P1"),
+                (34147.04145257278, "P1"),
+            ],
+        ),
+        (1000.0, [(100.0, "P1"), (100.0, "P2"), (20.0, "P2")]),
+    ]
+    system = _rate_monotonic(
+        Task(
+            period=period,
+            subtasks=tuple(Subtask(e, processor) for e, processor in chain),
+        )
+        for period, chain in tasks
+    )
     _assert_worklist_equals_full_passes(system, _options())
 
 

@@ -9,11 +9,16 @@ global at call time, so thread executors see the patch).
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import gc
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -801,3 +806,75 @@ class TestTcpServer:
         assert len(replies) == 2
         assert "period" in replies[0]["error"]
         assert replies[1]["request_id"] == "after"
+
+
+def _glibc_with_mallinfo2() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION")) and hasattr(
+            ctypes.CDLL(None), "mallinfo2"
+        )
+    except (AttributeError, OSError, TypeError, ValueError):
+        return False
+
+
+#: Runs in a fresh interpreter: how many chunks glibc maps for one
+#: 256 KiB ``bytes`` (asyncio's socket read size), under glibc's initial
+#: 128 KiB thresholds and then once ``serve_frontend`` has started.
+_MAPPED_CHUNKS_SCRIPT = """
+import asyncio, ctypes
+from repro.service.frontend import AdmissionFrontend, FrontendConfig
+from repro.service.frontend import serve_frontend
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.argtypes, libc.mallinfo2.restype = [], Mallinfo2
+libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+libc.malloc_trim.argtypes = [ctypes.c_size_t]
+
+def mapped_by_read_buffer():
+    before = libc.mallinfo2().hblks
+    buffer = bytes(256 * 1024)
+    mapped = libc.mallinfo2().hblks - before
+    del buffer
+    return mapped
+
+# Back to glibc's initial thresholds (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD),
+# with the heap's free top returned: a 256 KiB chunk must be mapped.
+libc.mallopt(-3, 128 * 1024)
+libc.mallopt(-1, 128 * 1024)
+libc.malloc_trim(0)
+print(mapped_by_read_buffer())
+
+async def serve():
+    async with AdmissionFrontend(FrontendConfig(shards=1)) as fe:
+        server = await serve_frontend(fe, port=0)
+        print(mapped_by_read_buffer())
+        server.close()
+        await server.wait_closed()
+
+asyncio.run(serve())
+"""
+
+
+@pytest.mark.skipif(
+    not _glibc_with_mallinfo2(), reason="glibc (>= 2.33) allocator only"
+)
+def test_serving_keeps_socket_read_buffers_off_mmap():
+    """A started server's 256 KiB read buffers come from the heap, however
+    low the process' mmap threshold was before: the wire path does not
+    map and fault in fresh pages on every read."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
+    lines = subprocess.run(
+        [sys.executable, "-c", _MAPPED_CHUNKS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout.split()
+    assert lines == ["1", "0"]
