@@ -27,8 +27,9 @@ lets SA/DS cut the ``m`` loop as soon as some instance provably exceeds
 the paper's 300-period failure cutoff.
 
 There is one implementation.  An analysis call compiles its system once
-(:class:`CompiledSystem`: index arrays in the call's timebase plus the
-jitter-independent part of every subtask's analysis), and
+(:class:`CompiledSystem`: the execution-time-independent index arrays
+of a :class:`CompiledShape` plus the jitter-independent part of every
+subtask's analysis, all in the call's timebase), and
 :func:`busy_period_kernel` runs Steps 1-5 for one subtask over them.
 :func:`analyze_subtask`, Algorithm IEERT and SA/PM are thin adapters
 over the kernel; ``docs/analysis.md`` describes the layout and the
@@ -54,6 +55,7 @@ from repro.model.task import SubtaskId
 from repro.timebase import ABS_EPS, FLOAT, REL_EPS, Timebase, fmt
 
 __all__ = [
+    "CompiledShape",
     "CompiledSystem",
     "SubtaskBusyPeriod",
     "SubtaskTerms",
@@ -179,33 +181,41 @@ class SubtaskTerms:
         )
 
 
-class CompiledSystem:
-    """A system as index arrays, in one timebase.
+class CompiledShape:
+    """The execution-time-independent part of a compilation.
 
     Subtask ``k`` is ``sids[k]`` (``System.subtask_ids`` order).
-    ``period[k]`` is converted once (``terms[k]`` also holds the
-    execution time); ``interferers[k]`` lists the indices of ``H_k`` in
-    ``System.interference_set`` order; ``predecessor[k]`` is the previous
-    subtask on the chain (``-1`` for a first subtask); ``is_last[k]``
-    flags chain ends; ``terms[k]`` holds the jitter-independent part of
-    subtask ``k``'s analysis.  Built once per analysis call (or once
-    per admission decision, shared by its analyses; see
-    :func:`compiled_for`) and dropped with it.
+    ``period[k]`` is its task's period, converted once;
+    ``interferers[k]`` lists the indices of ``H_k`` in
+    ``System.interference_set`` order; ``predecessor[k]`` is the
+    previous subtask on the chain (``-1`` for a first subtask);
+    ``is_last[k]`` flags chain ends; ``deadline[k]`` is the relative
+    deadline of ``k``'s task as the model holds it (unconverted: the
+    schedulability comparator reads it so).  SA/DS's dependency lists
+    are derived on first use: ``readers[o]`` lists the subtasks whose
+    interference set contains ``o``, and ``reads[k]`` the bounds
+    subtask ``k``'s jitters are built from (its own and its
+    interferers' predecessors).
+
+    None of this depends on execution times, so a region build, which
+    probes one shape at many execution vectors, compiles it once and
+    probes each vector through :meth:`at`.
     """
 
     __slots__ = (
-        "system",
         "timebase",
         "sids",
         "period",
         "interferers",
         "predecessor",
         "is_last",
-        "terms",
+        "deadline",
+        "inter_period",
+        "_readers",
+        "_reads",
     )
 
     def __init__(self, system: System, timebase: Timebase = FLOAT) -> None:
-        self.system = system
         self.timebase = timebase
         convert = timebase.convert
         self.sids = sids = system.subtask_ids
@@ -213,13 +223,14 @@ class CompiledSystem:
         self.period = period = []
         self.predecessor = []
         self.is_last = []
+        self.deadline = []
         for k, sid in enumerate(sids):
             task = system.tasks[sid.task_index]
             stages.append(task.subtasks[sid.subtask_index])
             period.append(convert(task.period))
             self.predecessor.append(k - 1 if sid.subtask_index else -1)
             self.is_last.append(sid.subtask_index == task.chain_length - 1)
-        wcet = [convert(stage.execution_time) for stage in stages]
+            self.deadline.append(task.relative_deadline)
         on_processor: dict[str, list[int]] = {}
         for k, stage in enumerate(stages):
             on_processor.setdefault(stage.processor, []).append(k)
@@ -231,13 +242,105 @@ class CompiledSystem:
             )
             for k, stage in enumerate(stages)
         ]
+        self.inter_period = [
+            tuple(period[other] for other in interferers)
+            for interferers in self.interferers
+        ]
+        self._readers = self._reads = None
+
+    @property
+    def readers(self) -> list[list[int]]:
+        if self._readers is None:
+            self._readers = [[] for _ in self.sids]
+            for k, interferers in enumerate(self.interferers):
+                for other in interferers:
+                    self._readers[other].append(k)
+        return self._readers
+
+    @property
+    def reads(self) -> list[list[int]]:
+        if self._reads is None:
+            predecessor = self.predecessor
+            self._reads = [
+                [
+                    predecessor[o]
+                    for o in (k, *interferers)
+                    if predecessor[o] >= 0
+                ]
+                for k, interferers in enumerate(self.interferers)
+            ]
+        return self._reads
+
+    def at(self, execution_times: Sequence) -> "CompiledSystem":
+        """This shape at one execution vector (``sids`` order), with no
+        :class:`~repro.model.system.System` behind it."""
+        return CompiledSystem(
+            None, self.timebase, shape=self, execution_times=execution_times
+        )
+
+
+class CompiledSystem:
+    """A system as index arrays, in one timebase.
+
+    The execution-time-independent arrays (``sids``, ``period``,
+    ``interferers``, ``predecessor``, ``is_last``) are those of
+    ``shape``, a :class:`CompiledShape`; ``execution_times[k]`` is
+    subtask ``k``'s execution time as given (unconverted) and
+    ``terms[k]`` holds the jitter-independent part of its analysis.
+    Built once per analysis call (or once per admission decision,
+    shared by its analyses; see :func:`compiled_for`) and dropped with
+    it.  A compilation made by :meth:`CompiledShape.at` has ``system``
+    ``None``.
+    """
+
+    __slots__ = (
+        "system",
+        "timebase",
+        "shape",
+        "execution_times",
+        "sids",
+        "period",
+        "interferers",
+        "predecessor",
+        "is_last",
+        "terms",
+    )
+
+    def __init__(
+        self,
+        system: System | None,
+        timebase: Timebase = FLOAT,
+        *,
+        shape: CompiledShape | None = None,
+        execution_times: Sequence | None = None,
+    ) -> None:
+        if shape is None:
+            shape = CompiledShape(system, timebase)
+        if execution_times is None:
+            execution_times = [
+                system.tasks[sid.task_index]
+                .subtasks[sid.subtask_index]
+                .execution_time
+                for sid in shape.sids
+            ]
+        self.system = system
+        self.timebase = timebase = shape.timebase
+        self.shape = shape
+        self.execution_times = execution_times
+        self.sids = sids = shape.sids
+        self.period = period = shape.period
+        self.interferers = interferers = shape.interferers
+        self.predecessor = shape.predecessor
+        self.is_last = shape.is_last
+        convert = timebase.convert
+        wcet = [convert(e) for e in execution_times]
         self.terms = [
             SubtaskTerms(
                 sid,
                 wcet[k],
                 period[k],
-                tuple(wcet[other] for other in self.interferers[k]),
-                tuple(period[other] for other in self.interferers[k]),
+                tuple(wcet[other] for other in interferers[k]),
+                shape.inter_period[k],
                 timebase,
             )
             for k, sid in enumerate(sids)

@@ -17,11 +17,29 @@ from repro.model.system import System
 from repro.model.task import SubtaskId
 from repro.timebase import REL_EPS
 
-__all__ = ["AnalysisResult", "FAILURE_FACTOR"]
+__all__ = ["AnalysisResult", "FAILURE_FACTOR", "within_deadline"]
 
 #: The paper declares a bound larger than 300 periods "for all practical
 #: purposes equal to infinity".
 FAILURE_FACTOR = 300.0
+
+
+def deadline_guard(deadline: float) -> float:
+    """The largest float bound :func:`within_deadline` accepts."""
+    return deadline + REL_EPS * max(1.0, deadline)
+
+
+def within_deadline(bound, deadline: float) -> bool:
+    """EER bound no greater than the relative deadline.
+
+    Bounds from an exact-timebase analysis (ints/Fractions) are
+    compared with a plain ``<=``; float bounds keep the historical
+    relative guard.  Python compares rationals against the float
+    deadline exactly, so no conversion is needed here.
+    """
+    if not isinstance(bound, float):
+        return bound <= deadline
+    return bound <= deadline_guard(deadline)
 
 
 @dataclass(frozen=True)
@@ -74,18 +92,12 @@ class AnalysisResult:
         return self.subtask_bounds[sid]
 
     def is_task_schedulable(self, task_index: int) -> bool:
-        """EER bound no greater than the task's relative deadline.
-
-        Bounds from an exact-timebase analysis (ints/Fractions) are
-        compared with a plain ``<=``; float bounds keep the historical
-        relative guard.  Python compares rationals against the float
-        deadline exactly, so no conversion is needed here.
-        """
-        deadline = self.system.tasks[task_index].relative_deadline
-        bound = self.task_bounds[task_index]
-        if not isinstance(bound, float):
-            return bound <= deadline
-        return bound <= deadline + REL_EPS * max(1.0, deadline)
+        """EER bound no greater than the task's relative deadline (see
+        :func:`within_deadline`)."""
+        return within_deadline(
+            self.task_bounds[task_index],
+            self.system.tasks[task_index].relative_deadline,
+        )
 
     @property
     def schedulable(self) -> bool:

@@ -41,7 +41,12 @@ from repro.core.analysis.busy_period import (
 # Unused here, but kept bound at this module's name: the benchmark's
 # tracer (perfbench/spans.py) wraps ``sa_ds.analyze_subtask``.
 from repro.core.analysis.busy_period import analyze_subtask  # noqa: F401
-from repro.core.analysis.results import FAILURE_FACTOR, AnalysisResult
+from repro.core.analysis.results import (
+    FAILURE_FACTOR,
+    AnalysisResult,
+    deadline_guard,
+    within_deadline,
+)
 from repro.errors import AnalysisError
 from repro.model.system import System
 from repro.model.task import SubtaskId
@@ -53,31 +58,45 @@ __all__ = ["ieert_pass", "analyze_sa_ds", "initial_ieer_bounds"]
 #: (float timebase only; the exact timebase converges on equality).
 _CONVERGENCE_RTOL = REL_EPS
 
+#: How far, relative to it, a float bound must clear a task's deadline
+#: guard before a verdict-only run stops on it (see
+#: :func:`sa_ds_schedulable`).
+_VERDICT_RTOL = 8 * REL_EPS
+
+
+def _chain_sums(sids: Sequence[SubtaskId], execution_times, timebase):
+    """Cumulative execution times along each chain, in ``sids`` order.
+
+    Float sums are ``sum()`` over the model's values, as
+    :meth:`~repro.model.task.Task.cumulative_execution_time` computes
+    them (``sum()`` of floats is compensated from Python 3.12 on, so a
+    running total could differ in the last ulp).  Exact sums add
+    converted values (the float sums would seed the iteration with
+    representation noise).
+    """
+    exact, convert = timebase.exact, timebase.convert
+    sums = []
+    first = total = 0
+    for k, sid in enumerate(sids):
+        if not sid.subtask_index:
+            first, total = k, 0
+        if exact:
+            total += convert(execution_times[k])
+            sums.append(total)
+        else:
+            sums.append(sum(execution_times[first : k + 1]))
+    return sums
+
 
 def initial_ieer_bounds(
     system: System, *, timebase: Timebase | str = FLOAT
 ) -> dict[SubtaskId, float]:
     """The SA/DS seed: cumulative execution times along each chain."""
-    timebase = get_timebase(timebase)
-    if timebase.exact:
-        # Accumulate in exact arithmetic (the float cumulative sums would
-        # seed the iteration with representation noise).
-        bounds: dict[SubtaskId, float] = {}
-        for task_index, task in enumerate(system.tasks):
-            total = timebase.zero
-            for j in range(task.chain_length):
-                sid = SubtaskId(task_index, j)
-                total += timebase.convert(
-                    system.subtask(sid).execution_time
-                )
-                bounds[sid] = total
-        return bounds
-    return {
-        sid: system.tasks[sid.task_index].cumulative_execution_time(
-            sid.subtask_index
-        )
-        for sid in system.subtask_ids
-    }
+    sids = system.subtask_ids
+    execution_times = [system.subtask(sid).execution_time for sid in sids]
+    return dict(
+        zip(sids, _chain_sums(sids, execution_times, get_timebase(timebase)))
+    )
 
 
 def _jitters(
@@ -135,8 +154,9 @@ def _ieert_bound(
 def _extra_list(
     compiled: CompiledSystem, extra_jitter: Mapping[SubtaskId, float] | None
 ) -> list:
-    extra = extra_jitter or {}
-    return [extra.get(sid) for sid in compiled.sids]
+    if not extra_jitter:
+        return [None] * len(compiled.sids)
+    return [extra_jitter.get(sid) for sid in compiled.sids]
 
 
 def ieert_pass(
@@ -196,8 +216,14 @@ class _Problem:
 
     ``seed`` holds the SA/DS seed bounds in ``compiled.sids`` order,
     ``cutoffs[k]`` is ``failure_factor * p_k`` (the per-instance abort,
-    and at last subtasks the task-level cutoff), and ``readers[o]`` lists
-    the subtasks whose interference set contains ``o``.
+    and at last subtasks the task-level cutoff), and ``readers`` is the
+    shape's (see :class:`~repro.core.analysis.busy_period.CompiledShape`).
+
+    A *verdict* problem (see :func:`sa_ds_schedulable`) also holds
+    ``limits[k]`` for last subtasks: a bound above it settles the
+    task's deadline miss.  ``stops[k]`` is the value above which a
+    last subtask's bound ends either iteration: ``cutoffs[k]``, or in
+    a verdict problem the lesser of ``cutoffs[k]`` and ``limits[k]``.
     """
 
     __slots__ = (
@@ -210,6 +236,8 @@ class _Problem:
         "finite",
         "lasts",
         "readers",
+        "limits",
+        "stops",
     )
 
     def __init__(
@@ -218,17 +246,31 @@ class _Problem:
         failure_factor: float,
         blocking: Mapping[SubtaskId, float] | None,
         extra_jitter: Mapping[SubtaskId, float] | None,
+        verdict: bool = False,
     ) -> None:
         self.compiled = compiled
         self.timebase = timebase = compiled.timebase
         sids = compiled.sids
         count = len(sids)
-        seed = initial_ieer_bounds(compiled.system, timebase=timebase)
-        self.seed = [seed[sid] for sid in sids]
+        self.seed = _chain_sums(sids, compiled.execution_times, timebase)
         cutoff_factor = timebase.convert(failure_factor)
         self.cutoffs = [cutoff_factor * period for period in compiled.period]
-        blocking = blocking or {}
-        self.own_blocking = [blocking.get(sid, 0) for sid in sids]
+        self.limits = None
+        self.stops = self.cutoffs
+        if verdict:
+            self.limits = [
+                _verdict_limit(deadline, timebase)
+                for deadline in compiled.shape.deadline
+            ]
+            self.stops = [
+                min(cutoff, limit) if last else cutoff
+                for cutoff, limit, last in zip(
+                    self.cutoffs, self.limits, compiled.is_last
+                )
+            ]
+        self.own_blocking = (
+            [blocking.get(sid, 0) for sid in sids] if blocking else [0] * count
+        )
         self.extra = _extra_list(compiled, extra_jitter)
         # The seed is finite and an infinite bound ends either iteration,
         # so the kernel can only be handed an infinite input through an
@@ -239,10 +281,7 @@ class _Problem:
             + [d for d in self.extra if d is not None]
         )
         self.lasts = [k for k in range(count) if compiled.is_last[k]]
-        self.readers: list[list[int]] = [[] for _ in range(count)]
-        for k, interferers in enumerate(compiled.interferers):
-            for other in interferers:
-                self.readers[other].append(k)
+        self.readers = compiled.shape.readers
 
     def jitters(self, bounds: Sequence) -> tuple[list, list]:
         """Own and interfering jitter of every subtask under ``bounds``."""
@@ -266,6 +305,38 @@ class _Problem:
             self.finite,
         )
 
+    def settles(self, k: int, value) -> bool:
+        """Whether a sweep's bound ``value`` for subtask ``k``, one that
+        ends the sweeps (infinite, or a last subtask's above its stop),
+        settles a verdict problem as unschedulable.
+
+        Exact sweep values are at most the least fixed point, so every
+        such bound does.  A float one does only at a last subtask and
+        above its limit; an infinite one there stands for a bound above
+        the cutoff.
+        """
+        if self.limits is None:
+            return False
+        if self.timebase.exact:
+            return True
+        return self.compiled.is_last[k] and (
+            min(value, self.cutoffs[k]) > self.limits[k]
+        )
+
+
+def _verdict_limit(deadline, timebase: Timebase):
+    """The bound above which a task misses ``deadline`` for good.
+
+    Exact bounds are compared with ``<=``, so the deadline itself.  A
+    float bound must also clear the comparator's guard by
+    ``_VERDICT_RTOL``, the room the tolerant iteration needs (see
+    :func:`sa_ds_schedulable`).
+    """
+    if timebase.exact:
+        return deadline
+    guard = deadline_guard(deadline)
+    return guard + _VERDICT_RTOL * max(1.0, guard)
+
 
 def _jacobi(
     problem: _Problem, failure_factor: float, max_iterations: int
@@ -279,7 +350,7 @@ def _jacobi(
     """
     count = len(problem.seed)
     bounds = list(problem.seed)
-    cutoffs, lasts, readers = problem.cutoffs, problem.lasts, problem.readers
+    stops, lasts, readers = problem.stops, problem.lasts, problem.readers
     warm = [WarmStart() for _ in range(count)]
     outputs: list = [None] * count
     own = interfering = None
@@ -304,8 +375,9 @@ def _jacobi(
         new_bounds = list(outputs)
         # The paper's failure cutoff, checked at task level: a task whose
         # EER bound exceeds failure_factor periods is declared unbounded.
+        # A verdict problem also stops at a settled deadline miss.
         for k in lasts:
-            if new_bounds[k] > cutoffs[k]:
+            if new_bounds[k] > stops[k]:
                 new_bounds[k] = math.inf
         if any(math.isinf(value) for value in new_bounds):
             failed = True
@@ -370,22 +442,17 @@ def _chaotic(
     tolerant busy-period solver is monotone only up to that tolerance
     (a bound can even fall), so only the Jacobi passes give Jacobi's
     answer.  Returns ``(bounds, sweeps)``.
+
+    In a verdict problem a bound that settles the verdict (see
+    :meth:`_Problem.settles`) ends the sweeps too: it is returned as
+    ``inf``, so the bounds read as a failed run.
     """
     compiled, timebase = problem.compiled, problem.timebase
     convert, exact = timebase.convert, timebase.exact
     count = len(problem.seed)
     bounds = list(problem.seed)
-    cutoffs, extra, readers = problem.cutoffs, problem.extra, problem.readers
-    is_last, predecessor = compiled.is_last, compiled.predecessor
-    # reads[k]: the bounds subtask k's jitters are built from.
-    reads = [
-        [
-            predecessor[o]
-            for o in (k, *compiled.interferers[k])
-            if predecessor[o] >= 0
-        ]
-        for k in range(count)
-    ]
+    stops, extra, readers = problem.stops, problem.extra, problem.readers
+    is_last, reads = compiled.is_last, compiled.shape.reads
     own, interfering = problem.jitters(bounds)
     warm = [WarmStart() for _ in range(count)]
     level = [0] * count
@@ -398,7 +465,10 @@ def _chaotic(
                 continue
             dirty[k] = False
             value = problem.bound(k, own, interfering, warm[k])
-            if math.isinf(value) or (is_last[k] and value > cutoffs[k]):
+            if math.isinf(value) or (is_last[k] and value > stops[k]):
+                if problem.settles(k, value):
+                    bounds[k] = math.inf
+                    return bounds, sweeps
                 return None
             old = bounds[k]
             moved = value != old
@@ -484,10 +554,7 @@ def analyze_sa_ds(
     AnalysisError
         When ``max_iterations < 1``.
     """
-    if max_iterations < 1:
-        raise AnalysisError(
-            f"max_iterations must be >= 1, got {max_iterations!r}"
-        )
+    _check_budget(max_iterations)
     timebase = get_timebase(timebase)
     compiled = compiled_for(system, timebase, compiled)
     problem = _Problem(compiled, failure_factor, blocking, extra_jitter)
@@ -498,19 +565,7 @@ def analyze_sa_ds(
         )
     else:
         (bounds, iterations), failed, notes = served, False, []
-    cutoffs = problem.cutoffs
-    task_bounds = []
-    first = 0
-    for last in problem.lasts:
-        value = bounds[last]
-        # IEER bounds grow along a chain, so an infinite bound anywhere on
-        # the chain means the task's EER bound is infinite -- even when the
-        # iteration stopped before recomputing the last subtask.
-        chain_diverged = any(math.isinf(v) for v in bounds[first : last + 1])
-        task_bounds.append(
-            math.inf if chain_diverged or value > cutoffs[last] else value
-        )
-        first = last + 1
+    task_bounds = _task_bounds(problem, bounds)
     if failed:
         # Bounds of tasks that had not yet exceeded the cutoff when the
         # iteration stopped are not converged; in a failed result only the
@@ -527,3 +582,68 @@ def analyze_sa_ds(
         iterations=iterations,
         notes=tuple(notes),
     )
+
+
+def sa_ds_schedulable(
+    compiled: CompiledSystem,
+    *,
+    failure_factor: float = FAILURE_FACTOR,
+    max_iterations: int = 300,
+) -> bool:
+    """``analyze_sa_ds(...).schedulable`` without the bounds.
+
+    ``compiled`` may come from :meth:`CompiledShape.at
+    <repro.core.analysis.busy_period.CompiledShape.at>`: no system is
+    needed.  Resource-free only (no blocking, no deferrals).
+
+    The same sweeps and passes run, but they stop as soon as one task's
+    deadline miss is settled, and a settled sweep never hands over to
+    the passes.  Every sweep and pass value lies at or below the least
+    fixed point (IEERT is monotone, Theorem 2), and a failed run is
+    unschedulable, so under the exact timebase a last subtask's bound
+    above its deadline or the cutoff, or any infinite bound, settles
+    it.  A float bound settles only once it clears the comparator's
+    guard by ``_VERDICT_RTOL`` of it, the room the tolerant solver
+    needs (``docs/analysis.md``, "Verdict-only runs").  A run that is
+    not settled ends as :func:`analyze_sa_ds` ends, including the
+    depth-budget fallback to the passes, and is decided by the same
+    comparator.
+    """
+    _check_budget(max_iterations)
+    problem = _Problem(compiled, failure_factor, None, None, verdict=True)
+    served = _chaotic(problem, max_iterations)
+    if served is None:
+        bounds = _jacobi(problem, failure_factor, max_iterations)[0]
+    else:
+        bounds = served[0]
+    deadline = compiled.shape.deadline
+    return all(
+        within_deadline(bound, deadline[last])
+        for bound, last in zip(_task_bounds(problem, bounds), problem.lasts)
+    )
+
+
+def _check_budget(max_iterations: int) -> None:
+    if max_iterations < 1:
+        raise AnalysisError(
+            f"max_iterations must be >= 1, got {max_iterations!r}"
+        )
+
+
+def _task_bounds(problem: _Problem, bounds: Sequence) -> list:
+    """The EER bound of every task: its last subtask's bound, or
+    ``inf`` past the cutoff or after a divergence on its chain."""
+    cutoffs = problem.cutoffs
+    task_bounds = []
+    first = 0
+    for last in problem.lasts:
+        value = bounds[last]
+        # IEER bounds grow along a chain, so an infinite bound anywhere on
+        # the chain means the task's EER bound is infinite -- even when the
+        # iteration stopped before recomputing the last subtask.
+        chain_diverged = any(math.isinf(v) for v in bounds[first : last + 1])
+        task_bounds.append(
+            math.inf if chain_diverged or value > cutoffs[last] else value
+        )
+        first = last + 1
+    return task_bounds

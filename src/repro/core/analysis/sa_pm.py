@@ -27,7 +27,7 @@ from repro.core.analysis.busy_period import (
 # Unused here, but kept bound at this module's name: the benchmark's
 # tracer (perfbench/spans.py) wraps ``sa_pm.analyze_subtask``.
 from repro.core.analysis.busy_period import analyze_subtask  # noqa: F401
-from repro.core.analysis.results import AnalysisResult
+from repro.core.analysis.results import AnalysisResult, within_deadline
 from repro.model.system import System
 from repro.model.task import SubtaskId
 from repro.timebase import FLOAT, Timebase, get_timebase
@@ -75,17 +75,23 @@ def sa_pm_subtask_details(
             )
             continue
         details[sid] = SubtaskBusyPeriod(
-            sid,
-            *busy_period_kernel(
-                compiled.terms[k],
-                timebase.zero,
-                [inter_jitter[other] for other in compiled.interferers[k]],
-                own_blocking,
-                None,
-                timebase,
-            ),
+            sid, *_kernel(compiled, k, inter_jitter, own_blocking)
         )
     return details
+
+
+def _kernel(compiled: CompiledSystem, k: int, inter_jitter, blocking):
+    """Steps 1-4 for subtask ``k``: strictly periodic releases, so no
+    jitter of its own."""
+    timebase = compiled.timebase
+    return busy_period_kernel(
+        compiled.terms[k],
+        timebase.zero,
+        [inter_jitter[other] for other in compiled.interferers[k]],
+        blocking,
+        None,
+        timebase,
+    )
 
 
 def analyze_sa_pm(
@@ -135,3 +141,31 @@ def analyze_sa_pm(
         task_bounds=tuple(task_bounds),
         iterations=1,
     )
+
+
+def sa_pm_schedulable(compiled: CompiledSystem) -> bool:
+    """``analyze_sa_pm(...).schedulable`` without the bounds.
+
+    ``compiled`` may come from :meth:`CompiledShape.at
+    <repro.core.analysis.busy_period.CompiledShape.at>`: no system is
+    needed.  Resource-free only (no blocking, no jitter).
+
+    Each task's subtask bounds are summed in chain order, as
+    :func:`analyze_sa_pm` sums them, and the run stops at the first
+    partial sum the deadline comparator rejects: adding non-negative
+    bounds in the same order never makes a sum smaller, so the full
+    sum would be rejected too.  The subtasks after it are never
+    analyzed.
+    """
+    zero = compiled.timebase.zero
+    inter_jitter = [zero] * len(compiled.sids)
+    deadline = compiled.shape.deadline
+    total = zero
+    for k, sid in enumerate(compiled.sids):
+        if not sid.subtask_index:
+            total = zero
+        bound = _kernel(compiled, k, inter_jitter, 0.0)[3]
+        total += math.inf if bound is None else bound
+        if not within_deadline(total, deadline[k]):
+            return False
+    return True

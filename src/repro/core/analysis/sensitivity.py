@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.analysis.sa_ds import analyze_sa_ds
-from repro.core.analysis.sa_pm import analyze_sa_pm
+from repro.core.analysis.busy_period import CompiledSystem
+from repro.core.analysis.sa_ds import sa_ds_schedulable
+from repro.core.analysis.sa_pm import sa_pm_schedulable
 from repro.errors import ConfigurationError
 from repro.model.system import System
 from repro.timebase import ABS_EPS
@@ -87,11 +88,14 @@ def _schedulable(system: System, analysis: str, sa_ds_max_iterations: int) -> bo
                 system, max_iterations=sa_ds_max_iterations
             ).schedulable
         return analyze_sa_pm_blocking(system).schedulable
+    # Only the verdict is read: the verdict-only runs give
+    # ``analyze_*(system).schedulable`` without computing every bound.
+    compiled = CompiledSystem(system)
     if analysis == "SA/DS":
-        return analyze_sa_ds(
-            system, max_iterations=sa_ds_max_iterations
-        ).schedulable
-    return analyze_sa_pm(system).schedulable
+        return sa_ds_schedulable(
+            compiled, max_iterations=sa_ds_max_iterations
+        )
+    return sa_pm_schedulable(compiled)
 
 
 def breakdown_scaling(

@@ -819,21 +819,29 @@ def _check_region_soundness(case: FuzzCase) -> list[str]:
     Builds the case's region under the case's timebase with a coarse
     search (the soundness claim is resolution-independent) and demands
     that every point the region tier would serve analysis-free agrees
-    with the direct analysis dispatch the admission service runs: the
-    verified corner itself, its half-scale interior point, and -- when
-    covered -- the request's own execution vector.  Needs no simulation
-    results, so it applies to every case within the size gate.
+    with the full analysis that certifies each requested protocol
+    (:func:`~repro.service.engine.certifying_analysis`): the verified
+    corner itself, its half-scale interior point, and -- when covered
+    -- the request's own execution vector.  The re-check runs the full
+    ``analyze_*`` functions, not the verdict-only runs the region
+    search probes with, so it tests those against the reference.
+    Needs no simulation results, so it applies to every case within
+    the size gate.
     """
     from fractions import Fraction
 
+    from repro.core.analysis.sa_ds import analyze_sa_ds
+    from repro.core.analysis.sa_pm import analyze_sa_pm
+    from repro.core.analysis.skew import analyze_sa_pm_skewed
+    from repro.locks import analyze_sa_ds_blocking, analyze_sa_pm_blocking
     from repro.regions import (
         compute_region,
         execution_vector,
-        probe_point,
         region_from_dict,
         region_to_dict,
         system_at,
     )
+    from repro.service.engine import certifying_analysis
     from repro.service.requests import AdmissionRequest
 
     request = AdmissionRequest(
@@ -866,7 +874,38 @@ def _check_region_soundness(case: FuzzCase) -> list[str]:
         for e in execution_vector(case.system)
     )
     half = Fraction(1, 2) if exact else 0.5
-    for analysis, corner in region.corners.items():
+    tb = case.timebase
+    sa_ds, sa_pm = (
+        (analyze_sa_ds_blocking, analyze_sa_pm_blocking)
+        if request.shared_resources
+        else (analyze_sa_ds, analyze_sa_pm)
+    )
+    full = {
+        "SA/DS": lambda system: sa_ds(
+            system,
+            max_iterations=request.sa_ds_max_iterations,
+            timebase=tb,
+        ),
+        "SA/PM": lambda system: sa_pm(system, timebase=tb),
+        "SA/PM-skew": lambda system: analyze_sa_pm_skewed(
+            system,
+            rate=request.clock_rate_bound,
+            jump=request.clock_jump_bound,
+            timebase=tb,
+        ),
+    }
+    certifying = dict.fromkeys(
+        certifying_analysis(request, protocol)
+        for protocol in request.protocols
+    )
+    certifying.pop(None, None)
+    if set(region.corners) != set(certifying):
+        issues.append(
+            f"region analyses {sorted(region.corners)} are not the "
+            f"certifying analyses {sorted(certifying)}"
+        )
+    for analysis in certifying:
+        corner = region.corners.get(analysis)
         if corner is None:
             continue
         points = [
@@ -880,12 +919,9 @@ def _check_region_soundness(case: FuzzCase) -> list[str]:
                 issues.append(
                     f"{analysis}: {label} not covered by its own box"
                 )
-            elif not probe_point(
-                request,
-                analysis,
-                system_at(case.system, point),
-                case.timebase,
-            ):
+            elif not full[analysis](
+                system_at(case.system, point)
+            ).schedulable:
                 issues.append(
                     f"{analysis}: {label} is inside the verified box but "
                     f"direct analysis judges it unschedulable -- the "

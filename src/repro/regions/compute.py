@@ -25,6 +25,15 @@ Every probe is counted; the total lands in
 :attr:`~repro.regions.region.FeasibilityRegion.probes` so callers can
 report the build cost the region must amortize.
 
+A probe reads only a verdict.  Probes of the base analyses (no
+blocking terms, no skew inflation) therefore run verdict-only
+(:func:`~repro.core.analysis.sa_ds.sa_ds_schedulable`,
+:func:`~repro.core.analysis.sa_pm.sa_pm_schedulable`), and a build
+compiles the shape once (:class:`~repro.core.analysis.busy_period.CompiledShape`)
+and probes each execution vector without materializing a system.
+Blocking-aware and skew-inflated probes materialize the point with
+:func:`~repro.regions.shape.system_at` and run the full analysis.
+
 Under the exact timebase the search bisects with ``Fraction``
 midpoints, so every boundary is an exact rational -- no float drift --
 and the default tolerance/cap are powers of two to keep denominators
@@ -35,8 +44,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.core.analysis.sa_ds import analyze_sa_ds
-from repro.core.analysis.sa_pm import analyze_sa_pm
+from repro.core.analysis.busy_period import CompiledShape, CompiledSystem
+from repro.core.analysis.sa_ds import sa_ds_schedulable
+from repro.core.analysis.sa_pm import sa_pm_schedulable
 from repro.core.analysis.skew import analyze_sa_pm_skewed
 from repro.errors import ConfigurationError
 from repro.locks import analyze_sa_ds_blocking, analyze_sa_pm_blocking
@@ -96,30 +106,21 @@ def probe_point(
     This is the region's ground truth: the same analysis dispatch the
     admission service uses, on the same timebase.  The utilization
     screen is conservative in the sound direction (claiming
-    unschedulable only shrinks the region).
+    unschedulable only shrinks the region).  The base analyses run
+    verdict-only, which answers as their ``.schedulable`` does.
     """
-    utilization = system.max_utilization
-    if timebase.exact:
-        if utilization >= 1:
-            return False
-    elif utilization >= 1.0 - ABS_EPS:
+    if _overloaded(system.max_utilization, timebase):
         return False
+    if _runs_base(request, analysis, system):
+        return _verdict(request, analysis, CompiledSystem(system, timebase))
     if analysis == "SA/DS":
-        if request.shared_resources:
-            return analyze_sa_ds_blocking(
-                system,
-                max_iterations=request.sa_ds_max_iterations,
-                timebase=timebase,
-            ).schedulable
-        return analyze_sa_ds(
+        return analyze_sa_ds_blocking(
             system,
             max_iterations=request.sa_ds_max_iterations,
             timebase=timebase,
         ).schedulable
     if analysis == "SA/PM":
-        if request.shared_resources:
-            return analyze_sa_pm_blocking(system, timebase=timebase).schedulable
-        return analyze_sa_pm(system, timebase=timebase).schedulable
+        return analyze_sa_pm_blocking(system, timebase=timebase).schedulable
     if analysis == "SA/PM-skew":
         return analyze_sa_pm_skewed(
             system,
@@ -130,8 +131,45 @@ def probe_point(
     raise ConfigurationError(f"unknown region analysis {analysis!r}")
 
 
+def _overloaded(utilization, timebase: Timebase) -> bool:
+    """The utilization screen: a processor at or above full load."""
+    if timebase.exact:
+        return utilization >= 1
+    return utilization >= 1.0 - ABS_EPS
+
+
+def _runs_base(
+    request: AdmissionRequest, analysis: str, system: System
+) -> bool:
+    """Whether ``analysis`` runs as a base analysis on ``system``: SA/DS
+    or SA/PM with no blocking terms to charge (the blocking-aware
+    variants are exactly the base analyses on section-free systems)."""
+    return analysis in ("SA/DS", "SA/PM") and not (
+        request.shared_resources and system.has_critical_sections
+    )
+
+
+def _verdict(
+    request: AdmissionRequest, analysis: str, compiled: CompiledSystem
+) -> bool:
+    if analysis == "SA/DS":
+        return sa_ds_schedulable(
+            compiled, max_iterations=request.sa_ds_max_iterations
+        )
+    return sa_pm_schedulable(compiled)
+
+
 class _Prober:
-    """Counted probes of one request's parameter space."""
+    """Counted probes of one request's parameter space.
+
+    Base-analysis probes run from the shape, compiled once here, and
+    the probed vector: :func:`system_at` keeps a subtask whose target
+    equals its own execution time, so the probe does too, and the
+    utilization screen sums in ``System.processor_utilization``'s
+    order -- every value is the one the materialized point would give.
+    Other probes materialize the point and go through
+    :func:`probe_point`.
+    """
 
     def __init__(
         self, request: AdmissionRequest, timebase: Timebase
@@ -139,15 +177,37 @@ class _Prober:
         self.request = request
         self.timebase = timebase
         self.count = 0
+        system = request.system
+        self.shape = CompiledShape(system, timebase)
+        self.given = execution_vector(system)
+        self.periods = [system.period_of(sid) for sid in self.shape.sids]
+        index = {sid: k for k, sid in enumerate(self.shape.sids)}
+        self.processors = [
+            [index[sid] for sid in system.subtasks_on(processor)]
+            for processor in system.processors
+        ]
 
     def __call__(self, analysis: str, vector) -> bool:
         self.count += 1
-        return probe_point(
-            self.request,
-            analysis,
-            system_at(self.request.system, vector),
-            self.timebase,
+        if not _runs_base(self.request, analysis, self.request.system):
+            return probe_point(
+                self.request,
+                analysis,
+                system_at(self.request.system, vector),
+                self.timebase,
+            )
+        times = [
+            given if target == given else target
+            for target, given in zip(vector, self.given)
+        ]
+        periods = self.periods
+        utilization = max(
+            sum(times[k] / periods[k] for k in group)
+            for group in self.processors
         )
+        if _overloaded(utilization, self.timebase):
+            return False
+        return _verdict(self.request, analysis, self.shape.at(times))
 
 
 def _as_scalar(value: float, exact: bool):

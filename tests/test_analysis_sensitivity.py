@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.core.analysis.sensitivity as sensitivity_module
+from repro.core.analysis.sa_ds import analyze_sa_ds
 from repro.core.analysis.sa_pm import analyze_sa_pm
 from repro.core.analysis.sensitivity import (
     breakdown_scaling,
@@ -194,3 +198,86 @@ class TestSectionedScaling:
         assert analyze_sa_pm_blocking(
             scale_execution_times(system, factor)
         ).schedulable
+
+
+def _full_analyses_breakdown(system, analysis, **options) -> float:
+    """The breakdown search with every probe reading the full analyses'
+    ``.schedulable`` instead of the verdict-only runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            sensitivity_module,
+            "sa_ds_schedulable",
+            lambda compiled, **kw: analyze_sa_ds(
+                compiled.system, compiled=compiled, **kw
+            ).schedulable,
+        )
+        patch.setattr(
+            sensitivity_module,
+            "sa_pm_schedulable",
+            lambda compiled: analyze_sa_pm(
+                compiled.system, compiled=compiled
+            ).schedulable,
+        )
+        return breakdown_scaling(system, analysis, **options)
+
+
+def _generated(seed: int) -> System:
+    from repro.workload.config import WorkloadConfig
+    from repro.workload.generator import generate_system
+
+    config = WorkloadConfig(
+        subtasks_per_task=3, utilization=0.6, tasks=4, processors=3
+    )
+    return generate_system(config, seed)
+
+
+class TestVerdictProbes:
+    """The breakdown search probes verdict-only; its factors are those
+    of probing the full analyses, to the last bit."""
+
+    @pytest.mark.parametrize("analysis", ["SA/PM", "SA/DS"])
+    @pytest.mark.parametrize(
+        "case", ["example2", "monitor", "generated0", "generated1"]
+    )
+    def test_factor_equals_full_analyses(self, case, analysis, request):
+        system = (
+            _generated(int(case[-1]))
+            if case.startswith("generated")
+            else request.getfixturevalue(case)
+        )
+        factor = breakdown_scaling(system, analysis)
+        assert repr(factor) == repr(
+            _full_analyses_breakdown(system, analysis)
+        )
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        subtasks=st.integers(1, 4),
+        utilization=st.floats(0.3, 0.95),
+        seed=st.integers(0, 10_000),
+        analysis=st.sampled_from(["SA/PM", "SA/DS"]),
+        budget=st.sampled_from([2, 60]),
+    )
+    def test_drawn_factor_equals_full_analyses(
+        self, subtasks, utilization, seed, analysis, budget
+    ):
+        from repro.workload.config import WorkloadConfig
+        from repro.workload.generator import generate_system
+
+        system = generate_system(
+            WorkloadConfig(
+                subtasks_per_task=subtasks,
+                utilization=utilization,
+                tasks=4,
+                processors=2,
+            ),
+            seed,
+        )
+        options = dict(tolerance=1e-2, sa_ds_max_iterations=budget)
+        assert repr(breakdown_scaling(system, analysis, **options)) == repr(
+            _full_analyses_breakdown(system, analysis, **options)
+        )
