@@ -12,7 +12,9 @@ an engineering number.
 The search is a bisection over the scaling factor; each probe scales
 every subtask's execution time and re-runs the chosen analysis.
 Monotonicity (larger executions never help) makes bisection exact up to
-the requested tolerance.
+the requested tolerance.  The same monotone search and the same probe
+dispatch build the per-subtask feasibility regions of
+:mod:`repro.regions`: breakdown scaling is their uniform stage.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.core.analysis.sa_ds import sa_ds_schedulable
 from repro.core.analysis.sa_pm import sa_pm_schedulable
 from repro.errors import ConfigurationError
 from repro.model.system import System
-from repro.timebase import ABS_EPS
+from repro.timebase import ABS_EPS, FLOAT, Timebase
 
 __all__ = ["scale_execution_times", "breakdown_scaling"]
 
@@ -73,29 +75,79 @@ def scale_execution_times(system: System, factor: float) -> System:
     )
 
 
-def _schedulable(system: System, analysis: str, sa_ds_max_iterations: int) -> bool:
-    if system.max_utilization >= 1.0 - ABS_EPS:
-        return False
-    if system.has_critical_sections:
-        # Sectioned systems are certified by the blocking-aware
-        # variants (exactly the base analyses on section-free input),
-        # so the breakdown factor prices the same verdict the
-        # admission service actually uses.
-        from repro.locks import analyze_sa_ds_blocking, analyze_sa_pm_blocking
+def overloaded(utilization, timebase: Timebase) -> bool:
+    """The utilization screen: a processor at or above full load."""
+    if timebase.exact:
+        return utilization >= 1
+    return utilization >= 1.0 - ABS_EPS
 
-        if analysis == "SA/DS":
-            return analyze_sa_ds_blocking(
-                system, max_iterations=sa_ds_max_iterations
-            ).schedulable
-        return analyze_sa_pm_blocking(system).schedulable
-    # Only the verdict is read: the verdict-only runs give
-    # ``analyze_*(system).schedulable`` without computing every bound.
-    compiled = CompiledSystem(system)
+
+def base_verdict(
+    compiled: CompiledSystem, analysis: str, sa_ds_max_iterations: int
+) -> bool:
+    """``analyze_*(system).schedulable`` of a section-free system, read
+    from the verdict-only runs without computing every bound."""
     if analysis == "SA/DS":
         return sa_ds_schedulable(
             compiled, max_iterations=sa_ds_max_iterations
         )
     return sa_pm_schedulable(compiled)
+
+
+def probe_schedulable(
+    system: System,
+    analysis: str,
+    *,
+    sa_ds_max_iterations: int,
+    timebase: Timebase,
+) -> bool:
+    """The SA/DS or SA/PM verdict on one concrete system: the
+    utilization screen, then the blocking-aware analysis on a sectioned
+    system, else verdict-only.  The blocking-aware variants are exactly
+    the base analyses on section-free input and are what the admission
+    service certifies with, so every caller prices the served verdict."""
+    if overloaded(system.max_utilization, timebase):
+        return False
+    if system.has_critical_sections:
+        from repro.locks import analyze_sa_ds_blocking, analyze_sa_pm_blocking
+
+        if analysis == "SA/DS":
+            return analyze_sa_ds_blocking(
+                system, max_iterations=sa_ds_max_iterations, timebase=timebase
+            ).schedulable
+        return analyze_sa_pm_blocking(system, timebase=timebase).schedulable
+    return base_verdict(
+        CompiledSystem(system, timebase), analysis, sa_ds_max_iterations
+    )
+
+
+def bisect_boundary(ok, low, high, tolerance):
+    """Bisect ``(low, high]`` down to ``tolerance``; return the verified
+    low end.  ``ok(x) -> bool`` is monotone (True up to the boundary).
+    A midpoint that rounds onto an end (a float tolerance below the
+    ends' spacing) could move neither, so it ends the search."""
+    while high - low > tolerance:
+        mid = (low + high) / 2
+        if not low < mid < high:
+            break
+        if ok(mid):
+            low = mid
+        else:
+            high = mid
+    return low
+
+
+def largest_uniform_factor(ok, max_factor, tolerance, *, one=1.0):
+    """The largest verified factor in ``(0, max_factor]``; zero = none.
+
+    Probes ``max_factor``, seeds the bracket at ``one`` (the common
+    case), then bisects.  ``Fraction(1)`` as ``one`` keeps it exact.
+    """
+    if ok(max_factor):
+        return max_factor
+    if ok(one):
+        return bisect_boundary(ok, one, max_factor, tolerance)
+    return bisect_boundary(ok, one - one, one, tolerance)
 
 
 def breakdown_scaling(
@@ -122,28 +174,13 @@ def breakdown_scaling(
         raise ConfigurationError(
             f"max_factor must be > 0, got {max_factor!r}"
         )
-
-    def ok(factor: float) -> bool:
-        return _schedulable(
+    return largest_uniform_factor(
+        lambda factor: probe_schedulable(
             scale_execution_times(system, factor),
             analysis,
-            sa_ds_max_iterations,
-        )
-
-    if ok(max_factor):
-        return max_factor
-    low, high = 0.0, max_factor
-    # Seed the bracket with factor 1 to save probes in the common case.
-    if ok(1.0):
-        low = 1.0
-    else:
-        high = 1.0
-    while high - low > tolerance:
-        mid = (low + high) / 2
-        if mid <= 0:
-            break
-        if ok(mid):
-            low = mid
-        else:
-            high = mid
-    return low
+            sa_ds_max_iterations=sa_ds_max_iterations,
+            timebase=FLOAT,
+        ),
+        max_factor,
+        tolerance,
+    )

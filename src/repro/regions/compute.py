@@ -5,12 +5,16 @@ from one global scaling factor to a per-subtask box.  The search has
 two stages, both built on the same primitive -- *probe a concrete
 execution vector with the real analysis* (the exact analysis the
 admission service runs, blocking-aware when the request declares shared
-resources, skew-inflated when it declares a clock envelope):
+resources, skew-inflated when it declares a clock envelope) -- and on
+the one monotone bisection,
+:func:`~repro.core.analysis.sensitivity.bisect_boundary`:
 
 1. **Uniform bisection.**  Find the largest verified factor
    ``lambda*`` such that ``lambda* * e0`` (the request's execution
    vector scaled uniformly, critical sections included) is schedulable.
-   This is exactly the breakdown search, and seeds a verified corner.
+   This is the breakdown search itself
+   (:func:`~repro.core.analysis.sensitivity.largest_uniform_factor`),
+   and seeds a verified corner.
 
 2. **Coordinate ascent.**  Grow one dimension at a time by bisection,
    keeping every other dimension at its current corner value, and
@@ -25,13 +29,15 @@ Every probe is counted; the total lands in
 :attr:`~repro.regions.region.FeasibilityRegion.probes` so callers can
 report the build cost the region must amortize.
 
-A probe reads only a verdict.  Probes of the base analyses (no
-blocking terms, no skew inflation) therefore run verdict-only
-(:func:`~repro.core.analysis.sa_ds.sa_ds_schedulable`,
-:func:`~repro.core.analysis.sa_pm.sa_pm_schedulable`), and a build
-compiles the shape once (:class:`~repro.core.analysis.busy_period.CompiledShape`)
-and probes each execution vector without materializing a system.
-Blocking-aware and skew-inflated probes materialize the point with
+A probe reads only a verdict.  SA/DS and SA/PM probes take breakdown
+scaling's dispatch,
+:func:`~repro.core.analysis.sensitivity.probe_schedulable`: the
+utilization screen, then the blocking-aware analysis on a sectioned
+shape, else the verdict-only base run.  On a section-free shape a
+build compiles the shape once
+(:class:`~repro.core.analysis.busy_period.CompiledShape`) and probes
+each execution vector without materializing a system.  Sectioned and
+skew-inflated probes materialize the point with
 :func:`~repro.regions.shape.system_at` and run the full analysis.
 
 Under the exact timebase the search bisects with ``Fraction``
@@ -43,13 +49,18 @@ small.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
-from repro.core.analysis.busy_period import CompiledShape, CompiledSystem
-from repro.core.analysis.sa_ds import sa_ds_schedulable
-from repro.core.analysis.sa_pm import sa_pm_schedulable
+from repro.core.analysis.busy_period import CompiledShape
+from repro.core.analysis.sensitivity import (
+    base_verdict,
+    bisect_boundary,
+    largest_uniform_factor,
+    overloaded,
+    probe_schedulable,
+)
 from repro.core.analysis.skew import analyze_sa_pm_skewed
 from repro.errors import ConfigurationError
-from repro.locks import analyze_sa_ds_blocking, analyze_sa_pm_blocking
 from repro.model.system import System
 from repro.regions.region import FeasibilityRegion
 from repro.regions.shape import (
@@ -60,7 +71,7 @@ from repro.regions.shape import (
 )
 from repro.service.engine import certifying_analysis
 from repro.service.requests import AdmissionRequest
-from repro.timebase import ABS_EPS, Timebase, get_timebase
+from repro.timebase import Timebase, get_timebase
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -104,70 +115,41 @@ def probe_point(
     """Run one direct analysis at a concrete point; True = schedulable.
 
     This is the region's ground truth: the same analysis dispatch the
-    admission service uses, on the same timebase.  The utilization
-    screen is conservative in the sound direction (claiming
-    unschedulable only shrinks the region).  The base analyses run
-    verdict-only, which answers as their ``.schedulable`` does.
+    admission service uses, on the same timebase.  SA/DS and SA/PM go
+    through :func:`~repro.core.analysis.sensitivity.probe_schedulable`
+    (utilization screen, then blocking-aware on a sectioned system,
+    else verdict-only) -- the probe breakdown scaling runs.
     """
-    if _overloaded(system.max_utilization, timebase):
-        return False
-    if _runs_base(request, analysis, system):
-        return _verdict(request, analysis, CompiledSystem(system, timebase))
-    if analysis == "SA/DS":
-        return analyze_sa_ds_blocking(
+    if analysis in ("SA/DS", "SA/PM"):
+        return probe_schedulable(
             system,
-            max_iterations=request.sa_ds_max_iterations,
+            analysis,
+            sa_ds_max_iterations=request.sa_ds_max_iterations,
             timebase=timebase,
-        ).schedulable
-    if analysis == "SA/PM":
-        return analyze_sa_pm_blocking(system, timebase=timebase).schedulable
-    if analysis == "SA/PM-skew":
-        return analyze_sa_pm_skewed(
-            system,
-            rate=request.clock_rate_bound,
-            jump=request.clock_jump_bound,
-            timebase=timebase,
-        ).schedulable
-    raise ConfigurationError(f"unknown region analysis {analysis!r}")
-
-
-def _overloaded(utilization, timebase: Timebase) -> bool:
-    """The utilization screen: a processor at or above full load."""
-    if timebase.exact:
-        return utilization >= 1
-    return utilization >= 1.0 - ABS_EPS
-
-
-def _runs_base(
-    request: AdmissionRequest, analysis: str, system: System
-) -> bool:
-    """Whether ``analysis`` runs as a base analysis on ``system``: SA/DS
-    or SA/PM with no blocking terms to charge (the blocking-aware
-    variants are exactly the base analyses on section-free systems)."""
-    return analysis in ("SA/DS", "SA/PM") and not (
-        request.shared_resources and system.has_critical_sections
-    )
-
-
-def _verdict(
-    request: AdmissionRequest, analysis: str, compiled: CompiledSystem
-) -> bool:
-    if analysis == "SA/DS":
-        return sa_ds_schedulable(
-            compiled, max_iterations=request.sa_ds_max_iterations
         )
-    return sa_pm_schedulable(compiled)
+    if analysis != "SA/PM-skew":
+        raise ConfigurationError(f"unknown region analysis {analysis!r}")
+    if overloaded(system.max_utilization, timebase):
+        return False
+    return analyze_sa_pm_skewed(
+        system,
+        rate=request.clock_rate_bound,
+        jump=request.clock_jump_bound,
+        timebase=timebase,
+    ).schedulable
 
 
 class _Prober:
     """Counted probes of one request's parameter space.
 
-    Base-analysis probes run from the shape, compiled once here, and
-    the probed vector: :func:`system_at` keeps a subtask whose target
-    equals its own execution time, so the probe does too, and the
-    utilization screen sums in ``System.processor_utilization``'s
-    order -- every value is the one the materialized point would give.
-    Other probes materialize the point and go through
+    SA/DS and SA/PM probes of a section-free shape run from the shape,
+    compiled once here, and the probed vector: :func:`system_at` keeps
+    a subtask whose target equals its own execution time, so the probe
+    does too, and the utilization screen sums in
+    ``System.processor_utilization``'s order -- every value is the one
+    the materialized point would give -- and the screen and the verdict
+    are :func:`~repro.core.analysis.sensitivity.probe_schedulable`'s
+    own.  Other probes materialize the point and go through
     :func:`probe_point`.
     """
 
@@ -189,12 +171,10 @@ class _Prober:
 
     def __call__(self, analysis: str, vector) -> bool:
         self.count += 1
-        if not _runs_base(self.request, analysis, self.request.system):
+        system = self.request.system
+        if analysis == "SA/PM-skew" or system.has_critical_sections:
             return probe_point(
-                self.request,
-                analysis,
-                system_at(self.request.system, vector),
-                self.timebase,
+                self.request, analysis, system_at(system, vector), self.timebase
             )
         times = [
             given if target == given else target
@@ -205,45 +185,32 @@ class _Prober:
             sum(times[k] / periods[k] for k in group)
             for group in self.processors
         )
-        if _overloaded(utilization, self.timebase):
+        if overloaded(utilization, self.timebase):
             return False
-        return _verdict(self.request, analysis, self.shape.at(times))
+        return base_verdict(
+            self.shape.at(times), analysis, self.request.sa_ds_max_iterations
+        )
 
 
-def _as_scalar(value: float, exact: bool):
-    """A search scalar: a small exact rational or a float."""
-    return Fraction(value).limit_denominator(1 << 20) if exact else value
-
-
-def _largest_uniform(ok, e0, max_factor, tolerance, exact: bool):
-    """Largest verified uniform factor in ``(0, max_factor]``; 0 = none.
-
-    ``ok(vector) -> bool`` probes a concrete vector.  Identical
-    structure to ``breakdown_scaling``: seed the bracket at 1, bisect,
-    return the verified low endpoint.
-    """
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-
-    def at(factor):
-        return tuple(e * factor for e in e0)
-
-    if ok(at(max_factor)):
-        return max_factor
-    low, high = zero, max_factor
-    if ok(at(one)):
-        low = one
-    else:
-        high = one
-    while high - low > tolerance:
-        mid = (low + high) / 2
-        if mid <= 0:
-            break
-        if ok(at(mid)):
-            low = mid
-        else:
-            high = mid
-    return low
+def _search_scalars(tolerance, max_factor, ascent_rounds, exact: bool):
+    """The validated ``(tolerance, cap, one)`` of a search.  Under the
+    exact timebase each is a small exact rational, and one that rounds
+    to 0 is refused: ``Fraction`` midpoints never meet, so a zero
+    tolerance would bisect forever."""
+    scalars = []
+    for name, value in (("tolerance", tolerance), ("max_factor", max_factor)):
+        scalar = Fraction(value).limit_denominator(1 << 20) if exact else value
+        if scalar <= 0:
+            raise ConfigurationError(
+                f"{name} must be > 0 (> 2**-21 on the exact timebase), "
+                f"got {value!r}"
+            )
+        scalars.append(scalar)
+    if ascent_rounds < 0:
+        raise ConfigurationError(
+            f"ascent_rounds must be >= 0, got {ascent_rounds!r}"
+        )
+    return (*scalars, Fraction(1) if exact else 1.0)
 
 
 def _ascend(ok, corner, e0, max_factor, tolerance, rounds: int, *, dimensions=None):
@@ -260,9 +227,7 @@ def _ascend(ok, corner, e0, max_factor, tolerance, rounds: int, *, dimensions=No
     for _ in range(rounds):
         for k in sweep:
             cap = e0[k] * max_factor
-            step = e0[k] * tolerance
-            low, high = corner[k], cap
-            if not low < high:
+            if not corner[k] < cap:
                 continue
 
             def at(value):
@@ -270,16 +235,12 @@ def _ascend(ok, corner, e0, max_factor, tolerance, rounds: int, *, dimensions=No
                 probe[k] = value
                 return tuple(probe)
 
-            if ok(at(high)):
-                corner[k] = high
+            if ok(at(cap)):
+                corner[k] = cap
                 continue
-            while high - low > step:
-                mid = (low + high) / 2
-                if ok(at(mid)):
-                    low = mid
-                else:
-                    high = mid
-            corner[k] = low
+            corner[k] = bisect_boundary(
+                lambda value: ok(at(value)), corner[k], cap, e0[k] * tolerance
+            )
     return tuple(corner)
 
 
@@ -303,28 +264,19 @@ def compute_region(
     coordinate ascent makes after the uniform seed (0 = uniform box
     only).
     """
-    if tolerance <= 0:
-        raise ConfigurationError(f"tolerance must be > 0, got {tolerance!r}")
-    if max_factor <= 0:
-        raise ConfigurationError(
-            f"max_factor must be > 0, got {max_factor!r}"
-        )
-    if ascent_rounds < 0:
-        raise ConfigurationError(
-            f"ascent_rounds must be >= 0, got {ascent_rounds!r}"
-        )
     tb = get_timebase(timebase)
+    tol, cap, one = _search_scalars(
+        tolerance, max_factor, ascent_rounds, tb.exact
+    )
     system = request.system
     e0 = tuple(tb.convert(e) for e in execution_vector(system))
-    tol = _as_scalar(tolerance, tb.exact)
-    cap = _as_scalar(max_factor, tb.exact)
     prober = _Prober(request, tb)
     corners: dict[str, tuple | None] = {}
     for analysis in required_analyses(request):
-        def ok(vector, _analysis=analysis):
-            return prober(_analysis, vector)
-
-        factor = _largest_uniform(ok, e0, cap, tol, tb.exact)
+        ok = partial(prober, analysis)
+        factor = largest_uniform_factor(
+            lambda f: ok(tuple(e * f for e in e0)), cap, tol, one=one
+        )
         if factor <= 0:
             corners[analysis] = None
             continue

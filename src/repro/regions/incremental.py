@@ -32,18 +32,22 @@ so callers can use it unconditionally.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from dataclasses import replace
+from functools import partial
 
+from repro.core.analysis.sensitivity import bisect_boundary
 from repro.regions.compute import (
     DEFAULT_MAX_FACTOR,
     DEFAULT_TOLERANCE,
     _ascend,
-    _as_scalar,
     _Prober,
+    _search_scalars,
+    compute_region,
     required_analyses,
 )
 from repro.regions.region import FeasibilityRegion
 from repro.regions.shape import (
+    SHAPE_OPTIONS,
     dimension_names,
     execution_vector,
     shape_key,
@@ -53,16 +57,6 @@ from repro.service.requests import AdmissionRequest
 from repro.timebase import get_timebase
 
 __all__ = ["update_region"]
-
-_OPTION_FIELDS = (
-    "protocols",
-    "synchronized_clocks",
-    "clock_rate_bound",
-    "clock_jump_bound",
-    "shared_resources",
-    "sa_ds_max_iterations",
-)
-
 
 def _match_tasks(old_system, new_system) -> dict[int, int | None]:
     """Order-preserving alignment of new task indices to old ones.
@@ -104,34 +98,26 @@ def _touched_dimensions(old_system, new_system, mapping) -> set[int]:
     ]
     processors: set[str] = set()
     resources: set[str] = set()
-    for index in added:
-        for stage in new_system.tasks[index].subtasks:
+    edited = [new_system.tasks[i] for i in added]
+    edited += [old_system.tasks[i] for i in removed]
+    for task in edited:
+        for stage in task.subtasks:
             processors.add(stage.processor)
-            for section in stage.critical_sections:
-                resources.add(section.resource)
-    for index in removed:
-        for stage in old_system.tasks[index].subtasks:
-            processors.add(stage.processor)
-            for section in stage.critical_sections:
-                resources.add(section.resource)
+            resources.update(s.resource for s in stage.critical_sections)
     touched: set[int] = set()
     new_dims = _task_dims(new_system)
     for new_index, task in enumerate(new_system.tasks):
         for offset, stage in enumerate(task.subtasks):
-            dim = new_dims[new_index][offset]
-            if mapping[new_index] is None:
-                touched.add(dim)
-            elif stage.processor in processors:
-                touched.add(dim)
-            elif any(
-                section.resource in resources
-                for section in stage.critical_sections
+            if (
+                mapping[new_index] is None
+                or stage.processor in processors
+                or any(s.resource in resources for s in stage.critical_sections)
             ):
-                touched.add(dim)
+                touched.add(new_dims[new_index][offset])
     return touched
 
 
-def _grow_from_base(ok, base, seed, tolerance, exact: bool):
+def _grow_from_base(ok, base, seed, tolerance, one):
     """Largest verified point on the segment ``base -> max(seed, base)``.
 
     Every component is non-decreasing in the interpolation parameter,
@@ -139,8 +125,6 @@ def _grow_from_base(ok, base, seed, tolerance, exact: bool):
     bisection finds the boundary.  Returns ``None`` when even ``base``
     itself fails (the caller then falls back to the origin ray).
     """
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
     top = tuple(s if s > b else b for s, b in zip(seed, base))
 
     def at(factor):
@@ -152,41 +136,22 @@ def _grow_from_base(ok, base, seed, tolerance, exact: bool):
         return at(one)
     if not ok(base):
         return None
-    low, high = zero, one
-    while high - low > tolerance:
-        mid = (low + high) / 2
-        if ok(at(mid)):
-            low = mid
-        else:
-            high = mid
-    return at(low)
+    return at(bisect_boundary(lambda f: ok(at(f)), one - one, one, tolerance))
 
 
-def _shrink_to_verified(ok, seed, tolerance, exact: bool):
+def _shrink_to_verified(ok, seed, tolerance, one):
     """Largest verified point on the ray ``lambda * seed``, or None.
 
     Monotonicity makes the ray's verdict monotone in ``lambda``, so a
     bisection over ``(0, 1]`` finds the boundary; the returned point
     was directly probed schedulable.
     """
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
 
     def at(factor):
         return tuple(value * factor for value in seed)
 
-    low, high = zero, one
-    while high - low > tolerance:
-        mid = (low + high) / 2
-        if mid <= 0:
-            break
-        if ok(at(mid)):
-            low = mid
-        else:
-            high = mid
-    if low <= 0:
-        return None
-    return at(low)
+    low = bisect_boundary(lambda f: ok(at(f)), one - one, one, tolerance)
+    return at(low) if low > 0 else None
 
 
 def update_region(
@@ -207,9 +172,10 @@ def update_region(
     always a fully verified region for the *new* shape -- soundness
     never depends on the reuse heuristics.
     """
-    from repro.regions.compute import compute_region
-
     tb = get_timebase(timebase)
+    tol, cap, one = _search_scalars(
+        tolerance, max_factor, ascent_rounds, tb.exact
+    )
 
     def fresh() -> FeasibilityRegion:
         return compute_region(
@@ -226,7 +192,7 @@ def update_region(
         return fresh()
     if any(
         getattr(old_request, name) != getattr(new_request, name)
-        for name in _OPTION_FIELDS
+        for name in SHAPE_OPTIONS
     ):
         return fresh()
     new_key = shape_key(new_request)
@@ -239,27 +205,18 @@ def update_region(
     old_dims = _task_dims(old_system)
     touched = _touched_dimensions(old_system, new_system, mapping)
     e0 = tuple(tb.convert(e) for e in execution_vector(new_system))
-    tol = _as_scalar(tolerance, tb.exact)
-    cap = _as_scalar(max_factor, tb.exact)
     prober = _Prober(new_request, tb)
     corners: dict[str, tuple | None] = {}
     for analysis in required_analyses(new_request):
-        def ok(vector, _analysis=analysis):
-            return prober(_analysis, vector)
-
+        ok = partial(prober, analysis)
         old_corner = region.corners.get(analysis)
         if old_corner is None:
             # Nothing to reuse: a removal can resurrect a shape whose
             # old search found no box, so search from scratch.
             fresh_region = fresh()
-            fresh_region = FeasibilityRegion(
-                shape_key=fresh_region.shape_key,
-                timebase=fresh_region.timebase,
-                dimensions=fresh_region.dimensions,
-                corners=fresh_region.corners,
-                probes=fresh_region.probes + prober.count,
+            return replace(
+                fresh_region, probes=fresh_region.probes + prober.count
             )
-            return fresh_region
         # Seed: carry surviving components over, cap at the growth
         # ceiling of the new request's own execution times.
         seed = []
@@ -287,9 +244,9 @@ def update_region(
             # if that point is schedulable the updated region keeps
             # covering it.  Only an unschedulable anchor falls back to
             # the origin ray.
-            corner = _grow_from_base(ok, e0, seed, tol, tb.exact)
+            corner = _grow_from_base(ok, e0, seed, tol, one)
             if corner is None:
-                corner = _shrink_to_verified(ok, seed, tol, tb.exact)
+                corner = _shrink_to_verified(ok, seed, tol, one)
         if corner is None:
             corners[analysis] = None
             continue

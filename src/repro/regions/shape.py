@@ -21,8 +21,8 @@ Canonicalization rules
 * system, task and subtask *names* are dropped (they are labels, not
   decision content -- renaming a task must not fragment the region
   cache);
-* verdict-relevant options are kept: protocols, ``synchronized_clocks``,
-  the clock envelope, ``shared_resources`` and
+* verdict-relevant options are kept (:data:`SHAPE_OPTIONS`): protocols,
+  ``synchronized_clocks``, the clock envelope, ``shared_resources`` and
   ``sa_ds_max_iterations``.  The advisor-only questions
   (``jitter_sensitive`` and friends) are deliberately *excluded*: they
   influence which certified protocol the advisor prefers, never whether
@@ -48,6 +48,7 @@ from repro.timebase import canonical_number
 
 __all__ = [
     "SHAPE_FORMAT",
+    "SHAPE_OPTIONS",
     "shape_payload",
     "shape_key",
     "task_shape_token",
@@ -55,6 +56,17 @@ __all__ = [
     "dimension_names",
     "system_at",
 ]
+
+#: The verdict-relevant request options a shape keeps.  Requests that
+#: differ in any of them have different shapes.
+SHAPE_OPTIONS = (
+    "protocols",
+    "synchronized_clocks",
+    "clock_rate_bound",
+    "clock_jump_bound",
+    "shared_resources",
+    "sa_ds_max_iterations",
+)
 
 #: Version tag baked into every shape key; bump when the payload shape
 #: changes so stale persisted region stores miss instead of serving
@@ -86,38 +98,33 @@ def _subtask_shape(stage) -> dict[str, Any]:
     return entry
 
 
+def _task_shape(task) -> dict[str, Any]:
+    return {
+        "period": task.period,
+        "phase": task.phase,
+        "deadline": task.deadline,
+        "subtasks": [_subtask_shape(stage) for stage in task.subtasks],
+    }
+
+
 def shape_payload(request: AdmissionRequest) -> dict[str, Any]:
     """The exact dictionary that gets hashed (useful for debugging)."""
     return {
         "format": SHAPE_FORMAT,
-        "tasks": [
-            {
-                "period": task.period,
-                "phase": task.phase,
-                "deadline": task.deadline,
-                "subtasks": [
-                    _subtask_shape(stage) for stage in task.subtasks
-                ],
-            }
-            for task in request.system.tasks
-        ],
-        "protocols": list(request.protocols),
-        "synchronized_clocks": request.synchronized_clocks,
-        "clock_rate_bound": request.clock_rate_bound,
-        "clock_jump_bound": request.clock_jump_bound,
-        "shared_resources": request.shared_resources,
-        "sa_ds_max_iterations": request.sa_ds_max_iterations,
+        "tasks": [_task_shape(task) for task in request.system.tasks],
+        **{name: getattr(request, name) for name in SHAPE_OPTIONS},
     }
+
+
+def _canonical_json(document) -> str:
+    return json.dumps(
+        document, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
 
 
 def shape_key(request: AdmissionRequest) -> str:
     """The SHA-256 hex digest identifying a request's shape."""
-    encoded = json.dumps(
-        shape_payload(request),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    encoded = _canonical_json(shape_payload(request))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
@@ -129,15 +136,7 @@ def task_shape_token(task) -> str:
     section layout.  The incremental layer uses this to align the
     surviving tasks of an edited system with the cached region.
     """
-    entry = {
-        "period": task.period,
-        "phase": task.phase,
-        "deadline": task.deadline,
-        "subtasks": [_subtask_shape(stage) for stage in task.subtasks],
-    }
-    return json.dumps(
-        entry, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    return _canonical_json(_task_shape(task))
 
 
 def execution_vector(system: System) -> tuple:

@@ -24,6 +24,8 @@ run them explicitly with ``pytest benchmarks/``.
 from __future__ import annotations
 
 import os
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -127,3 +129,25 @@ def small_config() -> WorkloadConfig:
 def small_system(small_config) -> System:
     """One deterministic synthetic system from ``small_config``."""
     return generate_system(small_config, seed=42)
+
+
+@pytest.fixture
+def within():
+    """``with within(seconds):`` fails the enclosed call with a
+    ``TimeoutError`` if it is still running after ``seconds`` -- for
+    regressions whose failure mode is a loop that never ends."""
+
+    @contextmanager
+    def guard(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return guard

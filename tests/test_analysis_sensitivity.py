@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,21 @@ class TestBreakdownScaling:
     def test_invalid_tolerance_rejected(self, example2):
         with pytest.raises(ConfigurationError):
             breakdown_scaling(example2, "SA/PM", tolerance=0.0)
+
+    def test_tolerance_below_float_spacing_ends(self, example2, within):
+        """Regression: once the bracket's ends are adjacent floats the
+        midpoint rounds onto one of them; the search used to loop there
+        forever.  It now stops with the verified end, whose float
+        neighbour above is the failed end."""
+        with within(30):
+            factor = breakdown_scaling(example2, "SA/PM", tolerance=1e-300)
+        assert factor >= breakdown_scaling(example2, "SA/PM")
+        assert analyze_sa_pm(
+            scale_execution_times(example2, factor)
+        ).schedulable
+        assert not analyze_sa_pm(
+            scale_execution_times(example2, math.nextafter(factor, 2.0))
+        ).schedulable
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_generated_systems_bracketed(self, seed):

@@ -29,6 +29,7 @@ from repro.regions.shape import execution_vector, shape_key, system_at
 from repro.service.requests import AdmissionRequest
 from repro.timebase import get_timebase
 from repro.workload.config import WorkloadConfig
+from repro.workload.examples import example_two
 from repro.workload.generator import generate_system
 
 
@@ -245,6 +246,43 @@ class TestExactTimebase:
     def test_float_region_round_trips(self):
         region = compute_region(_light_request())
         assert region_from_dict(region_to_dict(region)) == region
+
+
+class TestSearchTermination:
+    """Regression: a tolerance finer than the search's scalars can
+    resolve used to make the bisection endless."""
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"tolerance": 1e-7}, {"max_factor": 1e-7}]
+    )
+    def test_exact_scalar_rounding_to_zero_is_refused(self, kwargs, within):
+        # limit_denominator(2**20) rounds 1e-7 to 0, and Fraction
+        # midpoints never meet.
+        with within(30), pytest.raises(ConfigurationError, match="2\\*\\*-21"):
+            compute_region(
+                AdmissionRequest(system=example_two()),
+                timebase="exact",
+                **kwargs,
+            )
+
+    def test_exact_tolerance_above_resolution_builds(self, within):
+        request = AdmissionRequest(system=example_two())
+        with within(60):
+            region = compute_region(request, timebase="exact", tolerance=1e-6)
+        _verify_corner(request, region, timebase="exact")
+
+    def test_float_tolerance_below_spacing_ends(
+        self, single_task_system, within
+    ):
+        # Bisection ends meet adjacent floats long before 1e-300; a
+        # midpoint that rounds onto an end stops the search.
+        request = AdmissionRequest(system=single_task_system)
+        with within(30):
+            region = compute_region(request, tolerance=1e-300)
+        _verify_corner(request, region)
+        coarse = compute_region(request)
+        for analysis in region.analyses:
+            assert region.covers(analysis, coarse.corner(analysis))
 
 
 class TestDefaults:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.model.system import System
 from repro.model.task import Subtask, Task
 from repro.regions.compute import compute_region, probe_point
@@ -160,3 +161,10 @@ class TestFallbacks:
                 system_at(new.system, corner),
                 _verified_exact,
             )
+
+    def test_exact_tolerance_rounding_to_zero_is_refused(self, within):
+        old = AdmissionRequest(system=_base_system())
+        cached = compute_region(old, timebase="exact")
+        new = AdmissionRequest(system=_with_extra_task(_base_system()))
+        with within(30), pytest.raises(ConfigurationError):
+            update_region(cached, old, new, timebase="exact", tolerance=1e-7)
