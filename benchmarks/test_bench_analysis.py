@@ -1,13 +1,20 @@
 """Benchmark E4 + analysis micro-benchmarks.
 
-Pins the worked Section 4.3 numbers on Example 2 and measures the
-throughput of both schedulability analyses on paper-sized systems.
+Pins the worked Section 4.3 numbers on Example 2, measures the
+throughput of both schedulability analyses on paper-sized systems, and
+prints where a miss's analysis time goes (``test_analysis_cost_table``).
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.core.analysis import busy_period as busy_period_module
+from repro.core.analysis import sa_ds as sa_ds_module
+from repro.core.analysis import sa_pm as sa_pm_module
+from repro.core.analysis.busy_period import CompiledSystem
 from repro.core.analysis.sa_ds import analyze_sa_ds, ieert_pass, initial_ieer_bounds
 from repro.core.analysis.sa_pm import analyze_sa_pm
 from repro.workload.config import WorkloadConfig
@@ -67,3 +74,101 @@ def test_ieert_single_pass_throughput(benchmark):
     seeds = initial_ieer_bounds(system)
     bounds = benchmark(lambda: ieert_pass(system, seeds))
     assert all(bounds[sid] >= seeds[sid] - 1e-9 for sid in seeds)
+
+
+#: The benchmark's miss-compute cells: (subtasks per task, utilization),
+#: paper-size systems of 12 tasks on 4 processors; ten seeds each.
+MISS_CELLS = [(n, u) for n in (2, 3, 4, 5) for u in (0.5, 0.6, 0.7)]
+
+
+def _best_total(rounds: int, thunks) -> float:
+    """Best-of-``rounds`` wall time of running every thunk once."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for thunk in thunks:
+            thunk()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_analysis_cost_table(monkeypatch):
+    """Where a miss's analysis time goes, on the 120 miss-cell systems.
+
+    Report-only (no floor): compile, SA/PM and SA/DS time per decision
+    as ``compute_decision`` runs them (one shared float compilation);
+    the kernel runs, busy-period solves and demand evaluations they
+    make; and the time per kernel run, split into the solver (the
+    recorded solves replayed on their own) and the rest (the kernel's
+    own steps and the drivers around it).
+    """
+    systems = [
+        generate_system(WorkloadConfig(subtasks_per_task=n, utilization=u), seed)
+        for n, u in MISS_CELLS
+        for seed in range(10)
+    ]
+    compiled = [CompiledSystem(system) for system in systems]
+    rounds = 5
+    compile_s = _best_total(
+        rounds, [lambda s=s: CompiledSystem(s) for s in systems]
+    )
+    sa_pm_s = _best_total(
+        rounds,
+        [
+            lambda s=s, c=c: analyze_sa_pm(s, compiled=c)
+            for s, c in zip(systems, compiled)
+        ],
+    )
+    sa_ds_s = _best_total(
+        rounds,
+        [
+            lambda s=s, c=c: analyze_sa_ds(s, compiled=c)
+            for s, c in zip(systems, compiled)
+        ],
+    )
+
+    # One counted pass: every kernel run, and every solve's arguments.
+    runs = [0]
+    solves: list[tuple] = []
+    evaluations = [0]
+    solve = busy_period_module._solve_packed
+
+    def counted_solve(*args):
+        result = solve(*args)
+        solves.append(args)
+        evaluations[0] += result[1]
+        return result
+
+    for module in (sa_pm_module, sa_ds_module):
+        kernel = module.busy_period_kernel
+
+        def counted_kernel(*args, kernel=kernel):
+            runs[0] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(module, "busy_period_kernel", counted_kernel)
+    monkeypatch.setattr(busy_period_module, "_solve_packed", counted_solve)
+    for s, c in zip(systems, compiled):
+        analyze_sa_pm(s, compiled=c)
+        analyze_sa_ds(s, compiled=c)
+    monkeypatch.undo()
+    solver_s = _best_total(
+        rounds, [lambda: [solve(*args) for args in solves]]
+    )
+
+    count = len(systems)
+    per_run = (sa_pm_s + sa_ds_s) / runs[0] * 1e6
+    solver_per_run = solver_s / runs[0] * 1e6
+    lines = [
+        f"analysis cost over {count} miss-cell systems (float, best of "
+        f"{rounds})",
+        f"  compile {compile_s / count * 1e6:8.1f} us/decision",
+        f"  SA/PM   {sa_pm_s / count * 1e6:8.1f} us/decision",
+        f"  SA/DS   {sa_ds_s / count * 1e6:8.1f} us/decision",
+        f"  kernel runs {runs[0]}, solves {len(solves)}, "
+        f"demand evaluations {evaluations[0]}",
+        f"  per kernel run {per_run:6.2f} us = solver {solver_per_run:5.2f}"
+        f" + rest {per_run - solver_per_run:5.2f}",
+    ]
+    save_and_print("analysis_cost", "\n".join(lines))
+    assert runs[0] > 0 and solves

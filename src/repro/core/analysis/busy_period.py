@@ -30,10 +30,12 @@ There is one implementation.  An analysis call compiles its system once
 (:class:`CompiledSystem`: the execution-time-independent index arrays
 of a :class:`CompiledShape` plus the jitter-independent part of every
 subtask's analysis, all in the call's timebase), and
-:func:`busy_period_kernel` runs Steps 1-5 for one subtask over them.
-:func:`analyze_subtask`, Algorithm IEERT and SA/PM are thin adapters
-over the kernel; ``docs/analysis.md`` describes the layout and the
-float-order invariants the kernel keeps.
+:func:`busy_period_kernel` runs Steps 1-5 for one subtask over them,
+once per timebase: straight-line float code, or the integer-rescaled
+exact steps of :func:`_exact_kernel`.  :func:`analyze_subtask`,
+Algorithm IEERT and SA/PM are thin adapters over the kernel;
+``docs/analysis.md`` describes the layout and the float-order
+invariants the kernel keeps.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ Term = tuple[float, float, SubtaskId]
 
 #: The kernel's answer for a diverged subtask (see ``busy_period_kernel``).
 _DIVERGED = (None, 0, (), None, False)
+
+#: The float warm-start gate's factor: a subtask whose smallest demand
+#: step is at most ``_WARM_GATE * max(1, cap_busy)`` starts cold.
+_WARM_GATE = 2 * REL_EPS
 
 
 @dataclass(frozen=True)
@@ -160,25 +166,27 @@ class SubtaskTerms:
         self.period = period
         self.inter_e = inter_e
         self.inter_p = inter_p
-        # Ratios (utilizations, caps) stay exact under the exact backend.
-        ratio = Fraction if timebase.exact else operator.truediv
-        shares = [ratio(e, p) for e, p in zip(inter_e, inter_p)]
+        steps = inter_e + (wcet,)
+        self.wcet_sum = sum(steps)
+        self.smallest_step = min(steps)
         # Divergence pre-check: the long-run demand rate of H ∪ {self}.
-        level_utilization = sum(shares + [ratio(wcet, period)])
-        self.diverged = (
-            level_utilization >= 1
-            if timebase.exact
-            else level_utilization >= 1.0 - ABS_EPS
-        )
+        # Ratios (utilizations, caps) stay exact under the exact backend.
+        if timebase.exact:
+            shares = list(map(Fraction, inter_e, inter_p))
+            interference = sum(shares)
+            shares.append(Fraction(wcet, period))
+            level_utilization = sum(shares)
+            self.diverged = level_utilization >= 1
+            self.scale = _denominator_lcm((period,) + steps + inter_p)
+        else:
+            shares = list(map(operator.truediv, inter_e, inter_p))
+            interference = sum(shares)
+            shares.append(wcet / period)
+            level_utilization = sum(shares)
+            self.diverged = level_utilization >= 1.0 - ABS_EPS
+            self.scale = 1
         self.slack = 1 - level_utilization
-        self.interference_slack = 1 - sum(shares)
-        self.wcet_sum = sum(inter_e + (wcet,))
-        self.smallest_step = min(inter_e + (wcet,))
-        self.scale = (
-            _denominator_lcm((period, wcet) + inter_e + inter_p)
-            if timebase.exact
-            else 1
-        )
+        self.interference_slack = 1 - interference
 
 
 class CompiledShape:
@@ -218,32 +226,39 @@ class CompiledShape:
     def __init__(self, system: System, timebase: Timebase = FLOAT) -> None:
         self.timebase = timebase
         convert = timebase.convert
-        self.sids = sids = system.subtask_ids
+        self.sids = system.subtask_ids
         stages = []
         self.period = period = []
-        self.predecessor = []
-        self.is_last = []
-        self.deadline = []
-        for k, sid in enumerate(sids):
-            task = system.tasks[sid.task_index]
-            stages.append(task.subtasks[sid.subtask_index])
-            period.append(convert(task.period))
-            self.predecessor.append(k - 1 if sid.subtask_index else -1)
-            self.is_last.append(sid.subtask_index == task.chain_length - 1)
-            self.deadline.append(task.relative_deadline)
+        self.predecessor = predecessor = []
+        self.is_last = is_last = []
+        self.deadline = deadline = []
+        for task in system.tasks:
+            task_period = convert(task.period)
+            task_deadline = task.relative_deadline
+            last = len(task.subtasks) - 1
+            for j, stage in enumerate(task.subtasks):
+                predecessor.append(len(stages) - 1 if j else -1)
+                stages.append(stage)
+                period.append(task_period)
+                is_last.append(j == last)
+                deadline.append(task_deadline)
+        processor = [stage.processor for stage in stages]
+        priority = [stage.priority for stage in stages]
         on_processor: dict[str, list[int]] = {}
-        for k, stage in enumerate(stages):
-            on_processor.setdefault(stage.processor, []).append(k)
+        for k, name in enumerate(processor):
+            on_processor.setdefault(name, []).append(k)
         self.interferers = [
             tuple(
-                other
-                for other in on_processor[stage.processor]
-                if other != k and stages[other].priority <= stage.priority
+                [
+                    other
+                    for other in on_processor[processor[k]]
+                    if other != k and priority[other] <= priority[k]
+                ]
             )
-            for k, stage in enumerate(stages)
+            for k in range(len(stages))
         ]
         self.inter_period = [
-            tuple(period[other] for other in interferers)
+            tuple([period[other] for other in interferers])
             for interferers in self.interferers
         ]
         self._readers = self._reads = None
@@ -318,10 +333,9 @@ class CompiledSystem:
             shape = CompiledShape(system, timebase)
         if execution_times is None:
             execution_times = [
-                system.tasks[sid.task_index]
-                .subtasks[sid.subtask_index]
-                .execution_time
-                for sid in shape.sids
+                stage.execution_time
+                for task in system.tasks
+                for stage in task.subtasks
             ]
         self.system = system
         self.timebase = timebase = shape.timebase
@@ -332,15 +346,15 @@ class CompiledSystem:
         self.interferers = interferers = shape.interferers
         self.predecessor = shape.predecessor
         self.is_last = shape.is_last
-        convert = timebase.convert
-        wcet = [convert(e) for e in execution_times]
+        wcet = list(map(timebase.convert, execution_times))
+        inter_period = shape.inter_period
         self.terms = [
             SubtaskTerms(
                 sid,
                 wcet[k],
                 period[k],
-                tuple(wcet[other] for other in interferers[k]),
-                shape.inter_period[k],
+                tuple([wcet[other] for other in interferers[k]]),
+                inter_period[k],
                 timebase,
             )
             for k, sid in enumerate(sids)
@@ -472,18 +486,6 @@ def _solve_packed(
     )
 
 
-def _finish(busy_period, instance_count, per_instance, bound, aborted, out):
-    if out is None:
-        return busy_period, instance_count, tuple(per_instance), bound, aborted
-    return (
-        out(busy_period),
-        instance_count,
-        tuple(out(v) for v in per_instance),
-        None if bound is None else out(bound),
-        aborted,
-    )
-
-
 def busy_period_kernel(
     terms: SubtaskTerms,
     own_jitter,
@@ -511,6 +513,11 @@ def busy_period_kernel(
     the least fixed point it iterates to, so under the exact timebase
     the result is the cold result; ``docs/analysis.md`` gives the float
     argument.
+
+    The timebase is dispatched once, here: the float steps run below as
+    straight-line float code, the exact ones in :func:`_exact_kernel`.
+    Every expression that reaches a result or a guard keeps the
+    operation order of ``docs/analysis.md``'s float-order invariants.
     """
     if own_jitter < 0:
         raise AnalysisError(
@@ -520,8 +527,115 @@ def busy_period_kernel(
         raise AnalysisError(f"negative blocking for {terms.sid}: {blocking!r}")
     if terms.diverged:
         return _DIVERGED
-    exact = timebase.exact
+    if timebase.exact:
+        return _exact_kernel(
+            terms,
+            own_jitter,
+            inter_jitter,
+            timebase.convert(blocking),
+            abort_above,
+            timebase,
+            warm,
+        )
     blocking = timebase.convert(blocking)
+    solve = _solve_packed
+    period, wcet = terms.period, terms.wcet
+    warm_busy = None
+    if warm is not None and warm.covers(
+        terms, own_jitter, inter_jitter, blocking
+    ):
+        warm_busy, warm_completions = warm.busy_period, warm.completions
+
+    # Analytic caps: a demand W(t) = base + sum ceil((t + J)/p) e obeys
+    # W(t) <= base + U' t + sum (J/p + 1) e with U' the terms' utilization,
+    # so its least fixed point is at most (base + sum (J/p + 1) e)/(1 - U').
+    # Doubling gives a safety net that a correct iteration can never hit.
+    packed = list(zip(terms.inter_e, terms.inter_p, inter_jitter))
+    loads = [(j / p + 1) * e for e, p, j in packed]
+    jitter_load_interference = sum(loads)
+    loads.append((own_jitter / period + 1) * wcet)
+    cap_busy = 2 * ((sum(loads) + blocking) / terms.slack) + period
+    # The solver stops once an iterate grows by at most REL_EPS
+    # (relative).  Every iterate is at most cap_busy, so when each demand
+    # step is well above that tolerance, both a cold and a warm iteration
+    # stop only on a fixed point and they agree.  Otherwise where the
+    # iteration stops depends on where it starts: start cold.
+    if warm_busy is not None and terms.smallest_step <= _WARM_GATE * (
+        cap_busy if cap_busy > 1.0 else 1.0
+    ):
+        warm_busy = None
+
+    # Step 1: busy-period length D_i,j (self term included).
+    start = terms.wcet_sum + blocking
+    if warm_busy is not None and warm_busy > start:
+        start = warm_busy
+    busy_period = solve(
+        packed + [(wcet, period, own_jitter)],
+        blocking,
+        True,
+        start,
+        cap_busy,
+        False,
+    )[0]
+    if busy_period is None:  # pragma: no cover - cap is analytic, see above
+        return _DIVERGED
+
+    # Step 2: number of instances in the busy period.
+    instance_count = math.ceil((busy_period + own_jitter) / period - REL_EPS)
+    if instance_count < 1:
+        instance_count = 1
+
+    # Steps 3-5: completion bound per instance, response/IEER bound, max.
+    if warm_busy is None:
+        warm_completions = ()
+    warm_count = len(warm_completions)
+    interference_slack = terms.interference_slack
+    per_instance: list = []
+    completions: list = []
+    bound, aborted = None, False
+    for m in range(1, instance_count + 1):
+        base = m * wcet + blocking
+        # C(m) >= C(m-1) + e; the first base is at least e already.
+        start = base if m == 1 else max(base, completion + wcet)
+        cap_completion = (
+            2 * ((base + jitter_load_interference) / interference_slack)
+            + period
+        )
+        if m <= warm_count and warm_completions[m - 1] > start:
+            start = warm_completions[m - 1]
+        completion = solve(
+            packed, base, False, start, cap_completion, False
+        )[0]
+        if completion is None:  # pragma: no cover - analytic cap
+            break
+        completions.append(completion)
+        instance_bound = completion + own_jitter - (m - 1) * period
+        per_instance.append(instance_bound)
+        if abort_above is not None and instance_bound > abort_above:
+            aborted = True
+            break
+    else:
+        bound = max(per_instance)
+    if warm is not None:
+        warm.terms = terms
+        warm.own_jitter = own_jitter
+        warm.inter_jitter = inter_jitter
+        warm.blocking = blocking
+        warm.busy_period, warm.completions = busy_period, completions
+    return busy_period, instance_count, tuple(per_instance), bound, aborted
+
+
+def _exact_kernel(
+    terms: SubtaskTerms,
+    own_jitter,
+    inter_jitter: Sequence,
+    blocking,
+    abort_above,
+    timebase: Timebase,
+    warm: WarmStart | None,
+) -> tuple:
+    """Steps 1-5 under the exact timebase (see :func:`busy_period_kernel`,
+    which has checked and converted the inputs)."""
     given = (own_jitter, inter_jitter, blocking)
     warm_busy, warm_completions = None, ()
     if warm is not None and warm.covers(terms, *given):
@@ -529,69 +643,55 @@ def busy_period_kernel(
     period, wcet, wcet_sum = terms.period, terms.wcet, terms.wcet_sum
     inter_e, inter_p = terms.inter_e, terms.inter_p
 
-    # Exact fast path: rescale the whole analysis by the LCM of every
-    # denominator in play, so the fixpoint iterations below run on plain
-    # machine integers (ceiling division, int compares) instead of
-    # normalized Fractions paying a gcd per operation.  Results are
-    # descaled on the way out; the arithmetic is identical.  Converted
-    # floats are dyadic rationals, so the LCM is just the largest
-    # denominator.  A non-rational input (an infinity sentinel) keeps the
-    # generic Fraction arithmetic.  Warm starts are dynamic inputs too:
-    # they are rescaled with everything else.
+    # Rescale the whole analysis by the LCM of every denominator in
+    # play, so the fixpoint iterations below run on plain machine
+    # integers (ceiling division, int compares) instead of normalized
+    # Fractions paying a gcd per operation.  Results are descaled on the
+    # way out; the arithmetic is identical.  Converted floats are dyadic
+    # rationals, so the LCM is just the largest denominator.  A
+    # non-rational input (an infinity sentinel) keeps the generic
+    # Fraction arithmetic.  Warm starts are dynamic inputs too: they are
+    # rescaled with everything else.
     out = None
-    if exact:
-        dynamic = [own_jitter, blocking, *inter_jitter]
-        if abort_above is not None:
-            dynamic.append(abort_above)
-        if warm_busy is not None:
-            dynamic.append(warm_busy)
-            dynamic.extend(warm_completions)
-        if all(isinstance(v, (int, Fraction)) for v in dynamic):
-            scale = _denominator_lcm(dynamic, terms.scale)
-            if scale > 1:
+    dynamic = [own_jitter, blocking, *inter_jitter]
+    if abort_above is not None:
+        dynamic.append(abort_above)
+    if warm_busy is not None:
+        dynamic.append(warm_busy)
+        dynamic.extend(warm_completions)
+    if all(isinstance(v, (int, Fraction)) for v in dynamic):
+        scale = _denominator_lcm(dynamic, terms.scale)
+        if scale > 1:
 
-                def up(value):
-                    if isinstance(value, Fraction):
-                        return value.numerator * (scale // value.denominator)
-                    return value * scale
+            def up(value):
+                if isinstance(value, Fraction):
+                    return value.numerator * (scale // value.denominator)
+                return value * scale
 
-                period, wcet, wcet_sum = up(period), up(wcet), up(wcet_sum)
-                inter_e = [up(e) for e in inter_e]
-                inter_p = [up(p) for p in inter_p]
-                inter_jitter = [up(j) for j in inter_jitter]
-                own_jitter, blocking = up(own_jitter), up(blocking)
-                if abort_above is not None:
-                    abort_above = up(abort_above)
-                if warm_busy is not None:
-                    warm_busy = up(warm_busy)
-                    warm_completions = [up(c) for c in warm_completions]
+            period, wcet, wcet_sum = up(period), up(wcet), up(wcet_sum)
+            inter_e = [up(e) for e in inter_e]
+            inter_p = [up(p) for p in inter_p]
+            inter_jitter = [up(j) for j in inter_jitter]
+            own_jitter, blocking = up(own_jitter), up(blocking)
+            if abort_above is not None:
+                abort_above = up(abort_above)
+            if warm_busy is not None:
+                warm_busy = up(warm_busy)
+                warm_completions = [up(c) for c in warm_completions]
 
-                def out(value):
-                    return timebase.convert(Fraction(value, scale))
+            def out(value):
+                return timebase.convert(Fraction(value, scale))
 
-    # Analytic caps: a demand W(t) = base + sum ceil((t + J)/p) e obeys
-    # W(t) <= base + U' t + sum (J/p + 1) e with U' the terms' utilization,
-    # so its least fixed point is at most (base + sum (J/p + 1) e)/(1 - U').
-    # Doubling gives a safety net that a correct iteration can never hit.
-    ratio = Fraction if exact else operator.truediv
+    # Analytic caps, as in the float steps.
     inter_loads = [
-        (ratio(j, p) + 1) * e
+        (Fraction(j, p) + 1) * e
         for e, p, j in zip(inter_e, inter_p, inter_jitter)
     ]
     jitter_load_all = sum(
-        inter_loads + [(ratio(own_jitter, period) + 1) * wcet]
+        inter_loads + [(Fraction(own_jitter, period) + 1) * wcet]
     )
     jitter_load_interference = sum(inter_loads)
-    cap_busy = 2 * ratio(jitter_load_all + blocking, terms.slack) + period
-    # Float: the solver stops once an iterate grows by at most REL_EPS
-    # (relative).  Every iterate is at most cap_busy, so when each demand
-    # step is well above that tolerance, both a cold and a warm iteration
-    # stop only on a fixed point and they agree.  Otherwise where the
-    # iteration stops depends on where it starts: start cold.
-    if not exact and terms.smallest_step <= 2 * REL_EPS * max(
-        1.0, cap_busy
-    ):
-        warm_busy, warm_completions = None, ()
+    cap_busy = 2 * Fraction(jitter_load_all + blocking, terms.slack) + period
 
     # Step 1: busy-period length D_i,j (self term included).
     packed = list(zip(inter_e, inter_p, inter_jitter))
@@ -604,18 +704,13 @@ def busy_period_kernel(
         True,
         start,
         cap_busy,
-        exact,
+        True,
     )[0]
     if busy_period is None:  # pragma: no cover - cap is analytic, see above
         return _DIVERGED
 
     # Step 2: number of instances in the busy period.
-    if exact:
-        instance_count = max(1, -(-(busy_period + own_jitter) // period))
-    else:
-        instance_count = max(
-            1, math.ceil((busy_period + own_jitter) / period - REL_EPS)
-        )
+    instance_count = max(1, -(-(busy_period + own_jitter) // period))
 
     # Steps 3-5: completion bound per instance, response/IEER bound, max.
     per_instance: list = []
@@ -626,13 +721,16 @@ def busy_period_kernel(
         # C(m) >= C(m-1) + e; the first base is at least e already.
         start = base if m == 1 else max(base, completion + wcet)
         cap_completion = (
-            2 * ratio(base + jitter_load_interference, terms.interference_slack)
+            2
+            * Fraction(
+                base + jitter_load_interference, terms.interference_slack
+            )
             + period
         )
         if m <= len(warm_completions) and warm_completions[m - 1] > start:
             start = warm_completions[m - 1]
         completion = _solve_packed(
-            packed, base, False, start, cap_completion, exact
+            packed, base, False, start, cap_completion, True
         )[0]
         if completion is None:  # pragma: no cover - analytic cap
             break
@@ -652,8 +750,33 @@ def busy_period_kernel(
         else:
             warm.busy_period = out(busy_period)
             warm.completions = [out(c) for c in completions]
-    return _finish(
-        busy_period, instance_count, per_instance, bound, aborted, out
+    if out is None:
+        return busy_period, instance_count, tuple(per_instance), bound, aborted
+    return (
+        out(busy_period),
+        instance_count,
+        tuple(out(v) for v in per_instance),
+        None if bound is None else out(bound),
+        aborted,
+    )
+
+
+def subtask_terms(
+    system: System,
+    sid: SubtaskId,
+    interferers: Sequence[SubtaskId],
+    timebase: Timebase = FLOAT,
+) -> SubtaskTerms:
+    """``sid``'s terms with ``interferers`` as its interference set, in
+    that order, read from ``system`` and converted to ``timebase``."""
+    convert = timebase.convert
+    return SubtaskTerms(
+        sid,
+        convert(system.subtask(sid).execution_time),
+        convert(system.period_of(sid)),
+        tuple(convert(system.subtask(o).execution_time) for o in interferers),
+        tuple(convert(system.period_of(o)) for o in interferers),
+        timebase,
     )
 
 
@@ -695,18 +818,9 @@ def analyze_subtask(
     """
     jitter = jitter or {}
     convert = timebase.convert
-    subtask = system.subtask(sid)
     interferers = system.interference_set(sid)
-    terms = SubtaskTerms(
-        sid,
-        convert(subtask.execution_time),
-        convert(system.period_of(sid)),
-        tuple(convert(system.subtask(o).execution_time) for o in interferers),
-        tuple(convert(system.period_of(o)) for o in interferers),
-        timebase,
-    )
     record = busy_period_kernel(
-        terms,
+        subtask_terms(system, sid, interferers, timebase),
         convert(jitter.get(sid, 0)),
         [convert(jitter.get(o, 0)) for o in interferers],
         blocking,

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.analysis.busy_period import analyze_subtask
+from repro.core.analysis.busy_period import busy_period_kernel, subtask_terms
 from repro.model.priority import proportional_deadline
 from repro.model.system import System
 from repro.model.task import SubtaskId
-from repro.timebase import REL_EPS
+from repro.timebase import FLOAT, REL_EPS
 
 __all__ = ["audsley_assignment"]
 
@@ -48,18 +48,27 @@ def _fits(
     higher: set[SubtaskId],
     deadline: float,
 ) -> bool:
-    """Does ``sid`` meet ``deadline`` with exactly ``higher`` above it?"""
-    probe_priorities: dict[SubtaskId, int] = {}
-    for other in system.subtask_ids:
-        if other == sid:
-            probe_priorities[other] = 1
-        elif other in higher:
-            probe_priorities[other] = 0
-        else:
-            probe_priorities[other] = 2
-    probe = system.with_priorities(probe_priorities)
-    record = analyze_subtask(probe, sid)
-    return record.bound is not None and record.bound <= deadline + (
+    """Does ``sid`` meet ``deadline`` with exactly ``higher`` above it?
+
+    The probe is one kernel run: ``sid``'s terms with ``higher`` as its
+    interference set, in ``subtasks_on`` order (the order
+    ``System.interference_set`` yields on a system so prioritized), all
+    release jitters and the blocking term zero.
+    """
+    interferers = [
+        other
+        for other in system.subtasks_on(system.subtask(sid).processor)
+        if other in higher
+    ]
+    bound = busy_period_kernel(
+        subtask_terms(system, sid, interferers),
+        0.0,
+        [0.0] * len(interferers),
+        0.0,
+        None,
+        FLOAT,
+    )[3]
+    return bound is not None and bound <= deadline + (
         REL_EPS * max(1.0, deadline)
     )
 

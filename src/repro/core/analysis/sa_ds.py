@@ -127,13 +127,11 @@ def _ieert_bound(
     cutoff,
     timebase: Timebase,
     warm: WarmStart | None = None,
-    finite: bool = False,
 ):
     """Algorithm IEERT for subtask ``k``: its new bound (``inf`` when
-    unbounded).  Infinite inputs propagate without running the kernel;
-    ``finite`` says the caller knows every input is finite."""
+    unbounded).  Infinite inputs propagate without running the kernel."""
     inter_jitter = [interfering[other] for other in compiled.interferers[k]]
-    if not finite and (
+    if (
         math.isinf(own[k])
         or any(math.isinf(j) for j in inter_jitter)
         or math.isinf(blocking)
@@ -233,7 +231,7 @@ class _Problem:
         "cutoffs",
         "own_blocking",
         "extra",
-        "finite",
+        "unbounded",
         "lasts",
         "readers",
         "limits",
@@ -274,12 +272,18 @@ class _Problem:
         self.extra = _extra_list(compiled, extra_jitter)
         # The seed is finite and an infinite bound ends either iteration,
         # so the kernel can only be handed an infinite input through an
-        # infinite blocking term or deferral.
-        self.finite = not any(
-            math.isinf(value)
-            for value in self.own_blocking
-            + [d for d in self.extra if d is not None]
-        )
+        # infinite blocking term or deferral.  ``unbounded[k]`` says
+        # subtask ``k`` gets one: its bound is infinite without a run.
+        deferred = [d is not None and math.isinf(d) for d in self.extra]
+        if any(deferred) or any(map(math.isinf, self.own_blocking)):
+            self.unbounded = [
+                math.isinf(own) or any(deferred[o] for o in interferers)
+                for own, interferers in zip(
+                    self.own_blocking, compiled.interferers
+                )
+            ]
+        else:
+            self.unbounded = [False] * count
         self.lasts = [k for k in range(count) if compiled.is_last[k]]
         self.readers = compiled.shape.readers
 
@@ -289,20 +293,6 @@ class _Problem:
             [bounds[p] if p >= 0 else 0 for p in self.compiled.predecessor],
             self.extra,
             self.timebase,
-        )
-
-    def bound(self, k: int, own, interfering, warm: WarmStart):
-        """Algorithm IEERT for subtask ``k`` on these jitters."""
-        return _ieert_bound(
-            self.compiled,
-            k,
-            own,
-            interfering,
-            self.own_blocking[k],
-            self.cutoffs[k],
-            self.timebase,
-            warm,
-            self.finite,
         )
 
     def settles(self, k: int, value) -> bool:
@@ -351,6 +341,10 @@ def _jacobi(
     count = len(problem.seed)
     bounds = list(problem.seed)
     stops, lasts, readers = problem.stops, problem.lasts, problem.readers
+    kernel, timebase = busy_period_kernel, problem.timebase
+    unbounded = problem.unbounded
+    terms, interferers = problem.compiled.terms, problem.compiled.interferers
+    blocking, cutoffs = problem.own_blocking, problem.cutoffs
     warm = [WarmStart() for _ in range(count)]
     outputs: list = [None] * count
     own = interfering = None
@@ -371,7 +365,18 @@ def _jacobi(
                         marked[k] = True
             stale = [k for k in range(count) if marked[k]]
         for k in stale:
-            outputs[k] = problem.bound(k, own, interfering, warm[k])
+            value = None
+            if not unbounded[k]:
+                value = kernel(
+                    terms[k],
+                    own[k],
+                    [interfering[other] for other in interferers[k]],
+                    blocking[k],
+                    cutoffs[k],
+                    timebase,
+                    warm[k],
+                )[3]
+            outputs[k] = math.inf if value is None else value
         new_bounds = list(outputs)
         # The paper's failure cutoff, checked at task level: a task whose
         # EER bound exceeds failure_factor periods is declared unbounded.
@@ -449,9 +454,13 @@ def _chaotic(
     """
     compiled, timebase = problem.compiled, problem.timebase
     convert, exact = timebase.convert, timebase.exact
+    kernel, isinf, inf = busy_period_kernel, math.isinf, math.inf
     count = len(problem.seed)
     bounds = list(problem.seed)
     stops, extra, readers = problem.stops, problem.extra, problem.readers
+    blocking, cutoffs = problem.own_blocking, problem.cutoffs
+    terms, interferers = compiled.terms, compiled.interferers
+    unbounded = problem.unbounded
     is_last, reads = compiled.is_last, compiled.shape.reads
     own, interfering = problem.jitters(bounds)
     warm = [WarmStart() for _ in range(count)]
@@ -464,10 +473,22 @@ def _chaotic(
             if not dirty[k]:
                 continue
             dirty[k] = False
-            value = problem.bound(k, own, interfering, warm[k])
-            if math.isinf(value) or (is_last[k] and value > stops[k]):
+            value = None
+            if not unbounded[k]:
+                value = kernel(
+                    terms[k],
+                    own[k],
+                    [interfering[other] for other in interferers[k]],
+                    blocking[k],
+                    cutoffs[k],
+                    timebase,
+                    warm[k],
+                )[3]
+            if value is None:
+                value = inf
+            if isinf(value) or (is_last[k] and value > stops[k]):
                 if problem.settles(k, value):
-                    bounds[k] = math.inf
+                    bounds[k] = inf
                     return bounds, sweeps
                 return None
             old = bounds[k]
@@ -482,9 +503,13 @@ def _chaotic(
             # (an exact ``int`` may replace an equal seed ``Fraction``).
             bounds[k] = value
             if moved:
-                level[k] = 1 + max((level[r] for r in reads[k]), default=0)
-                if level[k] >= max_iterations:
+                depth = 0
+                for r in reads[k]:
+                    if level[r] > depth:
+                        depth = level[r]
+                if depth + 1 >= max_iterations:
                     return None
+                level[k] = depth + 1
             if is_last[k]:
                 continue
             successor = k + 1

@@ -15,9 +15,10 @@ Callers therefore use this one analysis for all three protocols.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.core.analysis.busy_period import (
+    _DIVERGED,
     CompiledSystem,
     SubtaskBusyPeriod,
     busy_period_kernel,
@@ -55,43 +56,77 @@ def sa_pm_subtask_details(
     ``timebase``, when the caller shares one compilation between
     analyses.
     """
-    blocking = blocking or {}
-    jitter = jitter or {}
     timebase = get_timebase(timebase)
     compiled = compiled_for(system, timebase, compiled)
-    inter_jitter = [
-        timebase.convert(jitter.get(sid, 0)) for sid in compiled.sids
-    ]
-    details: dict[SubtaskId, SubtaskBusyPeriod] = {}
-    for k, sid in enumerate(compiled.sids):
-        own_blocking = blocking.get(sid, 0.0)
-        if math.isinf(own_blocking):
-            details[sid] = SubtaskBusyPeriod(
-                sid=sid,
-                busy_period=None,
-                instance_count=0,
-                per_instance_bounds=(),
-                bound=None,
-            )
-            continue
-        details[sid] = SubtaskBusyPeriod(
-            sid, *_kernel(compiled, k, inter_jitter, own_blocking)
+    return {
+        sid: SubtaskBusyPeriod(sid, *run)
+        for sid, run in zip(
+            compiled.sids, _kernel_runs(compiled, blocking, jitter)
         )
-    return details
+    }
 
 
-def _kernel(compiled: CompiledSystem, k: int, inter_jitter, blocking):
-    """Steps 1-4 for subtask ``k``: strictly periodic releases, so no
-    jitter of its own."""
+def _kernel_runs(
+    compiled: CompiledSystem,
+    blocking: Mapping[SubtaskId, float] | None,
+    jitter: Mapping[SubtaskId, float] | None,
+):
+    """Steps 1-4 for every subtask in ``compiled.sids`` order, lazily:
+    the kernel's tuples.  Strictly periodic releases, so no jitter of
+    its own; an infinite blocking term gives the diverged tuple."""
+    kernel = busy_period_kernel
     timebase = compiled.timebase
-    return busy_period_kernel(
-        compiled.terms[k],
-        timebase.zero,
-        [inter_jitter[other] for other in compiled.interferers[k]],
-        blocking,
-        None,
-        timebase,
+    zero = timebase.zero
+    sids, terms = compiled.sids, compiled.terms
+    if jitter:
+        inter_jitter = [timebase.convert(jitter.get(sid, 0)) for sid in sids]
+    else:
+        inter_jitter = [zero] * len(sids)
+    for k, others in enumerate(compiled.interferers):
+        own_blocking = blocking.get(sids[k], 0.0) if blocking else 0.0
+        if math.isinf(own_blocking):
+            yield _DIVERGED
+            continue
+        yield kernel(
+            terms[k],
+            zero,
+            [inter_jitter[other] for other in others],
+            own_blocking,
+            None,
+            timebase,
+        )
+
+
+def chain_totals(compiled: CompiledSystem, bounds: Iterable):
+    """Each subtask's running task total, in ``compiled.sids`` order.
+
+    Yields ``(k, total)``: ``total`` is the sum of the bounds of ``k``'s
+    chain up to and including ``k``, added left to right with ``+=``
+    from the timebase's zero -- the order float EER sums depend on.
+    ``bounds`` is consumed one value per subtask, so a lazy one is
+    computed only as far as the caller reads.
+    """
+    zero = compiled.timebase.zero
+    total = zero
+    for k, (sid, bound) in enumerate(zip(compiled.sids, bounds)):
+        if not sid.subtask_index:
+            total = zero
+        total += bound
+        yield k, total
+
+
+def task_sums(compiled: CompiledSystem, bounds: Iterable) -> tuple:
+    """The EER bound of every task: its chain's bounds summed in chain
+    order (see :func:`chain_totals`)."""
+    is_last = compiled.is_last
+    return tuple(
+        total for k, total in chain_totals(compiled, bounds) if is_last[k]
     )
+
+
+def _bound(run) -> float:
+    """A kernel tuple's bound, ``inf`` when unbounded."""
+    return math.inf if run[3] is None else run[3]
 
 
 def analyze_sa_pm(
@@ -121,24 +156,13 @@ def analyze_sa_pm(
     :func:`sa_pm_subtask_details`).
     """
     timebase = get_timebase(timebase)
-    details = sa_pm_subtask_details(
-        system, blocking, jitter=jitter, timebase=timebase, compiled=compiled
-    )
-    subtask_bounds = {
-        sid: (math.inf if record.bound is None else record.bound)
-        for sid, record in details.items()
-    }
-    task_bounds = []
-    for task_index, task in enumerate(system.tasks):
-        total = timebase.zero
-        for j in range(task.chain_length):
-            total += subtask_bounds[SubtaskId(task_index, j)]
-        task_bounds.append(total)
+    compiled = compiled_for(system, timebase, compiled)
+    bounds = list(map(_bound, _kernel_runs(compiled, blocking, jitter)))
     return AnalysisResult(
         system=system,
         algorithm="SA/PM",
-        subtask_bounds=subtask_bounds,
-        task_bounds=tuple(task_bounds),
+        subtask_bounds=dict(zip(compiled.sids, bounds)),
+        task_bounds=task_sums(compiled, bounds),
         iterations=1,
     )
 
@@ -157,15 +181,9 @@ def sa_pm_schedulable(compiled: CompiledSystem) -> bool:
     sum would be rejected too.  The subtasks after it are never
     analyzed.
     """
-    zero = compiled.timebase.zero
-    inter_jitter = [zero] * len(compiled.sids)
     deadline = compiled.shape.deadline
-    total = zero
-    for k, sid in enumerate(compiled.sids):
-        if not sid.subtask_index:
-            total = zero
-        bound = _kernel(compiled, k, inter_jitter, 0.0)[3]
-        total += math.inf if bound is None else bound
-        if not within_deadline(total, deadline[k]):
-            return False
-    return True
+    bounds = map(_bound, _kernel_runs(compiled, None, None))
+    return all(
+        within_deadline(total, deadline[k])
+        for k, total in chain_totals(compiled, bounds)
+    )

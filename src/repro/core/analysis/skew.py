@@ -59,7 +59,7 @@ from repro.core.analysis.busy_period import (
     compiled_for,
 )
 from repro.core.analysis.results import AnalysisResult
-from repro.core.analysis.sa_pm import analyze_sa_pm
+from repro.core.analysis.sa_pm import analyze_sa_pm, task_sums
 from repro.errors import ConfigurationError
 from repro.model.system import System
 from repro.model.task import SubtaskId
@@ -215,16 +215,10 @@ def analyze_sa_pm_skewed(
             subtask_bounds[sid] = (
                 math.inf if bound is None else bound + delta[sid]
             )
-    task_bounds = []
-    for task_index, task in enumerate(system.tasks):
-        total = tb.zero
-        for j in range(task.chain_length):
-            total += subtask_bounds[SubtaskId(task_index, j)]
-        task_bounds.append(total)
     return AnalysisResult(
         system=system,
         algorithm="SA/PM-skew",
         subtask_bounds=subtask_bounds,
-        task_bounds=tuple(task_bounds),
+        task_bounds=task_sums(compiled, subtask_bounds.values()),
         iterations=2,
     )
