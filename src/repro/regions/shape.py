@@ -31,20 +31,27 @@ Canonicalization rules
 
 Like the decision keys of :mod:`repro.service.hashing`, shape keys are
 SHA-256 digests of a canonical JSON encoding -- stable across
-processes, runs and machines.
+processes, runs and machines.  The rules live there too: the admission
+pipeline takes a request's shape payload and execution vector from the
+one pass that keys it (:func:`~repro.service.hashing.walk_request`),
+and :func:`shape_key` hashes what that pass yields.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import replace
 from fractions import Fraction
 from typing import Any
 
 from repro.model.system import System
+from repro.service.hashing import (
+    SHAPE_FORMAT,
+    SHAPE_OPTIONS,
+    canonical_json,
+    section_shapes,
+    walk_request,
+)
 from repro.service.requests import AdmissionRequest
-from repro.timebase import canonical_number
 
 __all__ = [
     "SHAPE_FORMAT",
@@ -57,27 +64,6 @@ __all__ = [
     "system_at",
 ]
 
-#: The verdict-relevant request options a shape keeps.  Requests that
-#: differ in any of them have different shapes.
-SHAPE_OPTIONS = (
-    "protocols",
-    "synchronized_clocks",
-    "clock_rate_bound",
-    "clock_jump_bound",
-    "shared_resources",
-    "sa_ds_max_iterations",
-)
-
-#: Version tag baked into every shape key; bump when the payload shape
-#: changes so stale persisted region stores miss instead of serving
-#: regions computed under different semantics.
-SHAPE_FORMAT = "repro-region-shape-v1"
-
-
-def _fraction_token(numerator, denominator) -> Any:
-    """A JSON-stable token for the exact ratio numerator/denominator."""
-    return canonical_number(Fraction(numerator) / Fraction(denominator))
-
 
 def _subtask_shape(stage) -> dict[str, Any]:
     entry: dict[str, Any] = {
@@ -85,16 +71,7 @@ def _subtask_shape(stage) -> dict[str, Any]:
         "priority": stage.priority,
     }
     if stage.critical_sections:
-        entry["critical_sections"] = [
-            {
-                "resource": section.resource,
-                "start": _fraction_token(section.start, stage.execution_time),
-                "duration": _fraction_token(
-                    section.duration, stage.execution_time
-                ),
-            }
-            for section in stage.critical_sections
-        ]
+        entry["critical_sections"] = section_shapes(stage)
     return entry
 
 
@@ -108,7 +85,12 @@ def _task_shape(task) -> dict[str, Any]:
 
 
 def shape_payload(request: AdmissionRequest) -> dict[str, Any]:
-    """The exact dictionary that gets hashed (useful for debugging)."""
+    """The exact dictionary that gets hashed (useful for debugging).
+
+    Built task by task, apart from the admission pipeline's
+    :func:`~repro.service.hashing.walk_request`, which yields the same
+    dictionary from the pass that keys the request.
+    """
     return {
         "format": SHAPE_FORMAT,
         "tasks": [_task_shape(task) for task in request.system.tasks],
@@ -116,16 +98,9 @@ def shape_payload(request: AdmissionRequest) -> dict[str, Any]:
     }
 
 
-def _canonical_json(document) -> str:
-    return json.dumps(
-        document, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-
-
 def shape_key(request: AdmissionRequest) -> str:
     """The SHA-256 hex digest identifying a request's shape."""
-    encoded = _canonical_json(shape_payload(request))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    return walk_request(request).shape_key
 
 
 def task_shape_token(task) -> str:
@@ -136,7 +111,7 @@ def task_shape_token(task) -> str:
     section layout.  The incremental layer uses this to align the
     surviving tasks of an edited system with the cached region.
     """
-    return _canonical_json(_task_shape(task))
+    return canonical_json(_task_shape(task))
 
 
 def execution_vector(system: System) -> tuple:

@@ -33,13 +33,18 @@ They are *not* inserted into the decision cache.
 Building is driven by :meth:`RegionTier.observe`: the controller calls
 it after every direct computation, and once a shape has been computed
 ``build_threshold`` times the tier pays the (counted, amortizable)
-probe cost to build and store the region.
+probe cost to build and store the region.  Both entry points take the
+request's :func:`~repro.service.hashing.walk_request` from the caller,
+which already walked the system to key it, so the tier never walks the
+system itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
+from typing import Callable
 
 from repro.regions.compute import (
     DEFAULT_MAX_FACTOR,
@@ -48,11 +53,10 @@ from repro.regions.compute import (
     required_analyses,
 )
 from repro.regions.region import FeasibilityRegion
-from repro.regions.shape import execution_vector, shape_key
 from repro.regions.store import MemoryRegionStore
 from repro.service.engine import FALLBACK_ORDER, certifying_analysis
 from repro.service.store import CacheStats
-from repro.service.hashing import request_key
+from repro.service.hashing import RequestWalk, request_key, walk_request
 from repro.service.requests import AdmissionDecision, AdmissionRequest
 from repro.timebase import get_timebase
 
@@ -117,21 +121,29 @@ class RegionTier:
     # Lookup (hot path)
     # ------------------------------------------------------------------
     def lookup(
-        self, request: AdmissionRequest, *, key: str | None = None
+        self,
+        request: AdmissionRequest,
+        *,
+        key: str | None = None,
+        walk: RequestWalk | None = None,
     ) -> AdmissionDecision | None:
         """A region-backed decision, or None to fall back.
 
-        ``key`` is the request's decision-cache content key if the
-        caller already computed it (it is echoed on the decision).
+        ``key`` (the request's decision-cache content key, echoed on the
+        decision) and ``walk`` (its
+        :func:`~repro.service.hashing.walk_request`) are the caller's
+        when it already holds them; either is derived when omitted.
         """
-        region = self.store.get(shape_key(request))
+        if walk is None:
+            walk = walk_request(request)
+        region = self.store.get(walk.shape_key)
         decision = None
         if region is None:
             outcome = "region_misses"
         elif region.timebase != self.timebase.name:
             outcome = "region_fallbacks"
         else:
-            decision = self._decide(request, region, key=key)
+            decision = self._decide(request, region, walk, key)
             outcome = "region_fallbacks" if decision is None else "region_hits"
         if self.metrics is not None:
             self.metrics.count(**{outcome: 1})
@@ -141,13 +153,10 @@ class RegionTier:
         self,
         request: AdmissionRequest,
         region: FeasibilityRegion,
-        *,
+        walk: RequestWalk,
         key: str | None,
     ) -> AdmissionDecision | None:
-        point = tuple(
-            self.timebase.convert(e)
-            for e in execution_vector(request.system)
-        )
+        point = tuple(self.timebase.convert(e) for e in walk.vector)
         if len(point) != len(region.dimensions):
             return None  # foreign region; never guess
         needed = required_analyses(request)
@@ -193,7 +202,7 @@ class RegionTier:
             schedulable=schedulable,
             task_bounds={},
             worst_bound_ratio=math.inf,
-            key=key if key is not None else request_key(request),
+            key=key if key is not None else request_key(walk.document),
             system_name=request.system.name,
             request_id=request.request_id,
             margins=margins,
@@ -202,15 +211,24 @@ class RegionTier:
     # ------------------------------------------------------------------
     # Building (miss path)
     # ------------------------------------------------------------------
-    def observe(self, request: AdmissionRequest) -> FeasibilityRegion | None:
-        """Account one direct computation of this request's shape.
+    def observe(
+        self, request: AdmissionRequest, walk: RequestWalk | None = None
+    ) -> Callable[[], FeasibilityRegion] | None:
+        """Count one direct computation of this request's shape.
 
-        Builds and stores the shape's region once the shape has been
-        seen ``build_threshold`` times (and is not already stored or
-        being built by another thread).  Returns the freshly built
-        region, or None when nothing was built.
+        Returns the shape's build when it is due -- the shape has now
+        been seen ``build_threshold`` times, is not stored, and no
+        other build of it is running -- and None otherwise.  Counting
+        is cheap and runs wherever the caller is; the returned build
+        (claimed for the caller, so no other build of the shape starts
+        until it finishes) is the expensive part, which the caller runs
+        where it likes: inline, or off the event loop as
+        :meth:`~repro.service.engine.AdmissionController.decide_miss`
+        does.  It stores and returns the region.  ``walk`` is the
+        request's :func:`~repro.service.hashing.walk_request` when the
+        caller holds it.
         """
-        skey = shape_key(request)
+        skey = (walk if walk is not None else walk_request(request)).shape_key
         with self._lock:
             count = self._seen.get(skey, 0) + 1
             self._seen[skey] = count
@@ -221,12 +239,16 @@ class RegionTier:
             if skey in self.store:
                 return None
             self._building.add(skey)
+        return functools.partial(self._build_claimed, request, skey)
+
+    def _build_claimed(
+        self, request: AdmissionRequest, skey: str
+    ) -> FeasibilityRegion:
         try:
-            region = self.build(request)
+            return self.build(request)
         finally:
             with self._lock:
                 self._building.discard(skey)
-        return region
 
     def build(self, request: AdmissionRequest) -> FeasibilityRegion:
         """Unconditionally build, store and return the shape's region."""

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 from repro.errors import ConfigurationError
 from repro.service.cache import DecisionCache
 from repro.service.engine import AdmissionController, compute_decision
-from repro.service.hashing import request_key
+from repro.service.hashing import request_key, walk_request
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import AdmissionDecision, AdmissionRequest
 
@@ -346,12 +346,15 @@ def decide_batch(
     decisions: list[AdmissionDecision | None] = [None] * len(request_list)
     # key -> indices still needing a decision, in first-appearance order.
     pending: dict[str, list[int]] = {}
+    walks = {}  # key -> the walk of its first request
     for index, request in enumerate(request_list):
         started = time.perf_counter()
-        key = request_key(request)
-        found = controller.lookup(request, key)
+        walk = walk_request(request)
+        key = request_key(walk.document)
+        found = controller.lookup(request, key, walk)
         if found is None:
             pending.setdefault(key, []).append(index)
+            walks.setdefault(key, walk)
             continue
         decision, source = found
         decisions[index] = replace(decision, request_id=request.request_id)
@@ -383,7 +386,7 @@ def decide_batch(
         try:
             return await asyncio.gather(
                 *(
-                    controller.decide_miss(request, key, compute)
+                    controller.decide_miss(request, key, compute, walks[key])
                     for key, request in jobs.items()
                 )
             )

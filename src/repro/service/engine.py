@@ -26,7 +26,7 @@ from repro.locks import analyze_sa_ds_blocking, analyze_sa_pm_blocking
 from repro.model.system import System
 from repro.service.backends import DECISION_STORES
 from repro.service.cache import CacheStats, DecisionCache, SingleFlight
-from repro.service.hashing import request_key
+from repro.service.hashing import RequestWalk, request_key, walk_request
 from repro.service.metrics import ServiceMetrics
 from repro.service.requests import AdmissionDecision, AdmissionRequest
 from repro.service.store import make_store
@@ -219,9 +219,9 @@ class AdmissionController:
     snapshot, a quarantined database) is recorded in ``metrics``;
     :meth:`close` closes what the controller built.  It is also the one
     place the tier order is written: :meth:`lookup` (cache, then
-    regions) and :meth:`decide_miss` (single-flight, compute, cache,
-    publish, observe), which :meth:`admit`, :meth:`admit_batch` and the
-    frontend shards run.
+    :meth:`regional`) and :meth:`decide_miss` (single-flight, compute,
+    cache, publish, observe), which :meth:`admit`, :meth:`admit_batch`
+    and the frontend run.
     """
 
     def __init__(
@@ -315,21 +315,25 @@ class AdmissionController:
     def admit(self, request: AdmissionRequest) -> AdmissionDecision:
         """Decide one request through :meth:`lookup`, else inline.
 
-        A miss runs :func:`compute_decision` right here -- no event
-        loop, no thread hop, no flight claim -- then lands in the
-        decision cache and is observed by the region tier, as
-        :meth:`decide_miss` would do it.
+        The request is keyed by one :func:`walk_request`, which the
+        tiers reuse.  A miss runs :func:`compute_decision` right here --
+        no event loop, no thread hop, no flight claim -- then lands in
+        the decision cache and is observed by the region tier, whose
+        due build also runs here, as :meth:`decide_miss` would do it.
         """
         started = time.perf_counter()
-        key = request_key(request)
-        found = self.lookup(request, key)
+        walk = walk_request(request)
+        key = request_key(walk.document)
+        found = self.lookup(request, key, walk)
         if found is None:
             decision = compute_decision(request, key=key)
             source = "computed"
             if self.cache is not None:
                 self.cache.put(key, decision)
             if self.regions is not None:
-                self.regions.observe(request)
+                build = self.regions.observe(request, walk)
+                if build is not None:
+                    build()
         else:
             decision, source = found
             if source == "cache":
@@ -350,29 +354,51 @@ class AdmissionController:
     # The admission pipeline
     # ------------------------------------------------------------------
     def lookup(
-        self, request: AdmissionRequest, key: str
+        self,
+        request: AdmissionRequest,
+        key: str,
+        walk: RequestWalk | None = None,
     ) -> tuple[AdmissionDecision, str] | None:
         """(decision, ``"cache"`` or ``"region"``), or None on a miss.
 
         The decision cache first (exact-request hits are the
-        cheapest), then the region tier (a shape hit answers
-        analysis-free for any execution vector inside the verified
-        box).  A cached decision still carries the request id it was
-        computed under.  Region-backed decisions carry no bounds and a
-        tier-specific rationale, so they never enter the cache.
+        cheapest), then :meth:`regional`.  Each tier is asked once and
+        counts one lookup.  A cached decision still carries the request
+        id it was computed under.
         """
         if self.cache is not None:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached, "cache"
+        return self.regional(request, key, walk)
+
+    def regional(
+        self,
+        request: AdmissionRequest,
+        key: str,
+        walk: RequestWalk | None = None,
+    ) -> tuple[AdmissionDecision, str] | None:
+        """(decision, ``"region"``) from the region tier, or None.
+
+        The second tier of :meth:`lookup`, for a caller that already
+        missed the decision cache.  A shape hit answers analysis-free
+        for any execution vector inside the verified box.
+        Region-backed decisions carry no bounds and a tier-specific
+        rationale, so they never enter the cache.  ``walk`` is the
+        request's :func:`walk_request`, derived when omitted.
+        """
         if self.regions is not None:
-            regional = self.regions.lookup(request, key=key)
+            regional = self.regions.lookup(request, key=key, walk=walk)
             if regional is not None:
                 return regional, "region"
         return None
 
     async def decide_miss(
-        self, request: AdmissionRequest, key: str, compute
+        self,
+        request: AdmissionRequest,
+        key: str,
+        compute,
+        walk: RequestWalk | None = None,
     ) -> tuple[AdmissionDecision, float, bool, str]:
         """(decision, seconds, degraded?, source) for a :meth:`lookup` miss.
 
@@ -384,9 +410,13 @@ class AdmissionController:
         :func:`~repro.service.batch.compute_miss` on its own pool, and
         returns ``"computed"``.  The decision is cached *before* the
         flight is published, so a caller arriving in between finds one
-        or the other.  The region tier then observes the request off
-        the event loop, so a build lands before this returns.  Degraded
-        decisions are neither cached nor observed.
+        or the other.  The region tier then observes the request right
+        here on the event loop (a count under a lock, reusing ``walk``,
+        the request's :func:`walk_request`, when given); only a build
+        that the observation makes due leaves the loop, through
+        :func:`asyncio.to_thread`, and it is awaited, so it lands before
+        this returns.  Degraded decisions are neither cached nor
+        observed.
         """
         flights = self.cache.flights if self.cache is not None else None
         leading = False
@@ -408,7 +438,9 @@ class AdmissionController:
                 leading = False
                 flights.finish(key, decision, degraded=degraded)
             if self.regions is not None and not degraded:
-                await asyncio.to_thread(self.regions.observe, request)
+                build = self.regions.observe(request, walk)
+                if build is not None:
+                    await asyncio.to_thread(build)
             return decision, elapsed, degraded, "computed"
         finally:
             if leading:  # never published: followers compute for themselves

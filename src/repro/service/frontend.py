@@ -10,14 +10,19 @@ runs one event loop; inside it,
   :class:`~repro.service.requests.AdmissionDecision` with rationale
   prefixed ``service shed:`` (the HTTP-429 of this API), never a
   silent drop, and never cached,
+* every request is looked up once, on the event loop, before any
+  queue: :meth:`~repro.service.engine.AdmissionController.lookup`
+  (decision cache, then region tier) serves cache and region hits
+  without a shard hop, and a store error there fails closed as a
+  ``service degraded:`` refusal,
 * N **worker shards** own disjoint slices of the keyspace via the
   consistent-hash ring of :mod:`repro.service.sharding`, routed on the
   request's content hash -- identical content always lands on the same
   shard, which keeps that shard's slice of the cache hot and lets the
   cache's single-flight table collapse concurrent duplicates,
-* each shard runs the controller's admission pipeline
-  (:meth:`~repro.service.engine.AdmissionController.lookup`, then
-  :meth:`~repro.service.engine.AdmissionController.decide_miss`) and
+* each shard re-checks the decision cache for a miss that landed while
+  it queued (uncounted: the lookup above counted the request), then runs
+  :meth:`~repro.service.engine.AdmissionController.decide_miss` and
   computes misses on its own
   :class:`~repro.service.batch.ComputePool` (``"thread"`` or
   ``"process"``; processes sidestep the GIL for CPU-bound analysis,
@@ -61,7 +66,12 @@ from repro.service.batch import (
 )
 from repro.service.durability import FSYNC_POLICIES
 from repro.service.engine import AdmissionController
-from repro.service.hashing import METADATA_FIELDS, request_key
+from repro.service.hashing import (
+    METADATA_FIELDS,
+    RequestWalk,
+    request_key,
+    walk_request,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.service.supervision import BreakerConfig, CircuitBreaker
 from repro.service.requests import (
@@ -70,7 +80,6 @@ from repro.service.requests import (
     decision_to_dict,
     decodes_verbatim,
     request_from_dict,
-    request_to_dict,
 )
 from repro.service.sharding import ShardRing
 from repro.service.store import STORE_BACKENDS
@@ -127,6 +136,16 @@ def _verbatim_key(document) -> str | None:
         return request_key(document)
     except ValueError:  # a non-boolean flag or a NaN: decode says why
         return None
+
+
+def _echoing(
+    decision: AdmissionDecision, request_id: str
+) -> AdmissionDecision:
+    """``decision`` carrying ``request_id``; copied only when it carries
+    another (a cached or coalesced one)."""
+    if decision.request_id == request_id:
+        return decision
+    return replace(decision, request_id=request_id)
 
 
 def _shard_compute(job):
@@ -491,7 +510,7 @@ class AdmissionFrontend:
                 return
             if item is None:
                 continue
-            request, key, future, _started_at = item
+            request, key, _walk, future, _started_at = item
             shard.count(shed=1, drain_shed=1)
             if shard.breaker is not None:
                 shard.breaker.record_void()
@@ -566,50 +585,103 @@ class AdmissionFrontend:
             "exceeded (429, retry later)",
         )
 
-    def _serve_cached(
+    def _serve_found(
         self,
         shard: _Shard,
-        cached: AdmissionDecision,
+        found: tuple[AdmissionDecision, str],
         request_id: str,
         started: float,
     ) -> AdmissionDecision:
-        """The cache-hit branch of every admission path."""
+        """A cache or region hit, served without the shard's queue."""
+        decision, source = found
         if shard.breaker is not None:
-            # A cache hit never touches the executor: return any
-            # half-open probe permit unspent.
+            # A hit never touches the executor: return any half-open
+            # probe permit unspent.
             shard.breaker.record_void()
         shard.record(
-            admitted=cached.admitted,
-            cache_hit=True,
+            admitted=decision.admitted,
+            cache_hit=source == "cache",
+            region_hit=source == "region",
             latency=time.perf_counter() - started,
         )
-        return replace(cached, request_id=request_id)
+        return _echoing(decision, request_id)
+
+    def _store_failure(
+        self,
+        shard: _Shard,
+        request: AdmissionRequest,
+        key: str,
+        exc: Exception,
+        started: float,
+    ) -> AdmissionDecision:
+        """A store read that raised, failed closed as the shard worker
+        fails a computation: a degraded REJECT, never cached."""
+        if shard.breaker is not None:
+            shard.breaker.record_void()
+        shard.record(
+            admitted=False,
+            cache_hit=False,
+            latency=time.perf_counter() - started,
+        )
+        shard.count(degraded=1)
+        return refusal(request, key, "degraded", f"store error: {exc}")
 
     async def admit(
-        self, request: AdmissionRequest, *, key: str | None = None
+        self,
+        request: AdmissionRequest,
+        *,
+        key: str | None = None,
+        walk: RequestWalk | None = None,
     ) -> AdmissionDecision:
-        """Decide one request through quotas, cache, and its shard.
+        """Decide one request through quotas, the tiers, and its shard.
 
-        ``key`` is the request's content key when the caller already
-        holds it (:meth:`decode_document` hands it over); ``None``
-        computes it.  Always returns a decision: a real verdict, a
-        degraded REJECT (ladder exhausted), or an explicit shed (quota
-        or queue full).
+        ``key`` (the request's content key) and ``walk`` (its
+        :func:`~repro.service.hashing.walk_request`) are the caller's
+        when it already holds them (:func:`serve_frontend` hands over
+        what decoding the line proved); either is derived when needed.
+        The decision cache, then the region tier, are asked once, here:
+        a hit is served without the shard's queue.  Always returns a
+        decision: a real verdict, a degraded REJECT (ladder exhausted,
+        or a store read that raised), or an explicit shed (quota or
+        queue full).
         """
         self._require_started()
         started = time.perf_counter()
         if not self._take_token(request.tenant):
             return self._quota_shed(request)
+        if walk is None and (key is None or self.regions is not None):
+            walk = walk_request(request)
         if key is None:
-            key = request_key(request)
-        shard = self._route(key)
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return self._serve_cached(
-                    shard, cached, request.request_id, started
-                )
-        return await self._enqueue(shard, request, key, started)
+            key = request_key(walk.document)
+        return await self._admit_keyed(
+            self._route(key),
+            request,
+            key,
+            walk,
+            started,
+            self._controller.lookup,
+        )
+
+    async def _admit_keyed(
+        self,
+        shard: _Shard,
+        request: AdmissionRequest,
+        key: str,
+        walk: RequestWalk | None,
+        started: float,
+        lookup: Callable,
+    ) -> AdmissionDecision:
+        """Ask ``lookup`` -- the controller's tiers this request has not
+        met yet -- then serve a hit or queue a miss on ``shard``."""
+        try:
+            found = lookup(request, key, walk)
+        except Exception as exc:  # noqa: BLE001 - fail closed
+            return self._store_failure(shard, request, key, exc, started)
+        if found is not None:
+            return self._serve_found(
+                shard, found, request.request_id, started
+            )
+        return await self._enqueue(shard, request, key, walk, started)
 
     def decode_document(
         self, document
@@ -632,35 +704,53 @@ class AdmissionFrontend:
         cache (``docs/service.md``, "Wire hit path").  Call it from the
         event loop only.
         """
+        key, request, _walk = self._decode(document)
+        return key, request
+
+    def _decode(
+        self, document
+    ) -> tuple[str | None, AdmissionRequest | None, RequestWalk | None]:
+        """:meth:`decode_document`, plus the request's walk when it took
+        one (to prove the key), for :meth:`admit` to reuse."""
         if self.cache is None:
-            return None, request_from_dict(document)
+            return None, request_from_dict(document), None
         try:
             content = _content_bytes(document)
         except (AttributeError, ValueError):
-            return None, request_from_dict(document)
+            return None, request_from_dict(document), None
         fingerprint = hashlib.sha256(content).digest()
         memo = self._key_memo
         key = memo.get(fingerprint)
         if key is not None:
             memo.move_to_end(fingerprint)
-            if key in self.cache:
-                return key, None
+            if self._cached(key):
+                return key, None, None
             # Evicted since; the key is still the one it decodes to.
-            return key, request_from_dict(document)
+            return key, request_from_dict(document), None
         key = _verbatim_key(document)
-        if key is not None and key in self.cache:
+        if key is not None and self._cached(key):
             memo[fingerprint] = key
             while len(memo) > self.config.cache_capacity:
                 memo.popitem(last=False)
-            return key, None
+            return key, None, None
         request = request_from_dict(document)
-        if key is not None and (
-            _content_bytes(request_to_dict(request)) != content
-        ):
+        if key is None:
+            return None, request, None
+        walk = walk_request(request)
+        if _content_bytes(walk.document) != content:
             # Verbatim but not canonical (say, reordered protocols or a
             # missing phase): its request keys differently.
             key = None
-        return key, request
+        return key, request, walk
+
+    def _cached(self, key: str) -> bool:
+        """Whether the cache holds ``key``; a store that raises counts as
+        not holding it, so :meth:`admit`'s counted lookup meets the
+        error and fails closed."""
+        try:
+            return key in self.cache
+        except Exception:  # noqa: BLE001 - admit reports it
+            return False
 
     async def admit_cached(
         self, document, key: str
@@ -671,20 +761,32 @@ class AdmissionFrontend:
         The same bookkeeping as :meth:`admit` on a cache hit -- one
         token, one counted lookup, the shard's breaker and metrics --
         without building the request.  The model is decoded only for a
-        quota shed, or when the entry left the cache in between.
+        quota shed or a store error, or when the entry left the cache
+        in between; then the region tier is asked before the queue, as
+        :meth:`admit` asks it.
         """
         self._require_started()
         started = time.perf_counter()
         if not self._take_token(str(document.get("tenant", ""))):
             return self._quota_shed(request_from_dict(document))
         shard = self._route(key)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return self._serve_cached(
-                shard, cached, str(document.get("request_id", "")), started
+        try:
+            cached = self.cache.get(key)
+        except Exception as exc:  # noqa: BLE001 - fail closed
+            return self._store_failure(
+                shard, request_from_dict(document), key, exc, started
             )
-        return await self._enqueue(
-            shard, request_from_dict(document), key, started
+        if cached is not None:
+            return self._serve_found(
+                shard,
+                (cached, "cache"),
+                str(document.get("request_id", "")),
+                started,
+            )
+        request = request_from_dict(document)
+        walk = walk_request(request) if self.regions is not None else None
+        return await self._admit_keyed(
+            shard, request, key, walk, started, self._controller.regional
         )
 
     async def _enqueue(
@@ -692,6 +794,7 @@ class AdmissionFrontend:
         shard: _Shard,
         request: AdmissionRequest,
         key: str,
+        walk: RequestWalk | None,
         started: float,
     ) -> AdmissionDecision:
         """Queue a miss on ``shard``, or shed it when the queue is full."""
@@ -699,7 +802,7 @@ class AdmissionFrontend:
             asyncio.get_running_loop().create_future()
         )
         try:
-            shard.queue.put_nowait((request, key, future, started))
+            shard.queue.put_nowait((request, key, walk, future, started))
         except asyncio.QueueFull:
             if shard.breaker is not None:
                 shard.breaker.record_void()
@@ -717,15 +820,18 @@ class AdmissionFrontend:
     # Shard workers
     # ------------------------------------------------------------------
     async def _run_worker(self, shard: _Shard) -> None:
+        cache = self.cache
         while True:
             item = await shard.queue.get()
             if item is None:  # shutdown sentinel
                 return
-            request, key, future, started = item
+            request, key, walk, future, started = item
             try:
-                # The decision may have landed while this request queued.
-                found = self._controller.lookup(request, key)
-                if found is None:
+                # The decision may have landed while this request
+                # queued.  The lookup before the queue counted this
+                # request's one store lookup and asked the region tier.
+                cached = None if cache is None else cache.recheck(key)
+                if cached is None:
                     decision, _elapsed, degraded, source = (
                         await self._controller.decide_miss(
                             request,
@@ -733,11 +839,11 @@ class AdmissionFrontend:
                             functools.partial(
                                 compute_miss, shard.pool, _shard_compute
                             ),
+                            walk,
                         )
                     )
                 else:
-                    decision, source = found
-                    degraded = False
+                    decision, degraded, source = cached, False, "cache"
             except Exception as exc:  # noqa: BLE001 - fail closed
                 decision = refusal(
                     request, key, "degraded", f"shard worker error: {exc}"
@@ -745,8 +851,8 @@ class AdmissionFrontend:
                 degraded, source = True, "computed"
             if shard.breaker is not None:
                 # Only *computed* outcomes prove anything about this
-                # shard's executor; cache/region/coalesced resolutions
-                # must neither reset the failure streak nor count as
+                # shard's executor; cache/coalesced resolutions must
+                # neither reset the failure streak nor count as
                 # half-open probes.
                 if source == "computed":
                     if degraded:
@@ -758,13 +864,12 @@ class AdmissionFrontend:
             shard.record(
                 admitted=decision.admitted,
                 cache_hit=source in ("cache", "coalesced"),
-                region_hit=source == "region",
                 latency=time.perf_counter() - started,
             )
             shard.count(coalesced=source == "coalesced", degraded=degraded)
             if not future.done():
                 future.set_result(
-                    replace(decision, request_id=request.request_id)
+                    _echoing(decision, request.request_id)
                 )
 
     # ------------------------------------------------------------------
@@ -923,7 +1028,7 @@ async def serve_frontend(
                     document = json.loads(text)
                     # An exact repeat is answered from the document; any
                     # other line is decoded into the model first.
-                    key, request = frontend.decode_document(document)
+                    key, request, walk = frontend._decode(document)
                 except (
                     ReproError,
                     ValueError,
@@ -936,7 +1041,9 @@ async def serve_frontend(
                     if request is None:
                         decision = await frontend.admit_cached(document, key)
                     else:
-                        decision = await frontend.admit(request, key=key)
+                        decision = await frontend.admit(
+                            request, key=key, walk=walk
+                        )
                     payload = decision_to_dict(decision)
                 writer.write(
                     (json.dumps(payload, sort_keys=True) + "\n").encode(

@@ -33,16 +33,26 @@ shape):
 caller metadata (correlation tag, quota principal), not decision
 content -- two tenants submitting identical systems share one cached
 decision, and the sharded frontend routes them to the same shard.
+
+The admission pipeline keys a request by one pass over its system,
+:func:`walk_request`: the pass yields the content document this key
+hashes, the region tier's shape payload (whose rules --
+:data:`SHAPE_FORMAT`, :data:`SHAPE_OPTIONS`, :func:`section_shapes` --
+live here so the pass can apply them; see :mod:`repro.regions.shape`)
+and the execution vector, so no tier walks the system again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 from typing import Any, Mapping
 
+from repro.io import _FORMAT as _SYSTEM_FORMAT
 from repro.model.system import System
 from repro.service.requests import (
+    _REQUEST_FORMAT,
     OPTION_DEFAULTS,
     AdmissionRequest,
     request_flags,
@@ -54,9 +64,15 @@ __all__ = [
     "KEY_FORMAT",
     "KEY_FORMAT_V3",
     "METADATA_FIELDS",
+    "SHAPE_FORMAT",
+    "SHAPE_OPTIONS",
+    "RequestWalk",
+    "canonical_json",
     "canonical_payload",
     "request_key",
+    "section_shapes",
     "system_key",
+    "walk_request",
 ]
 
 #: Version tag baked into every key; bump when the payload shape changes
@@ -76,6 +92,22 @@ KEY_FORMAT_V3 = "repro-admission-key-v3"
 
 #: Request options that are caller metadata, not decision content.
 METADATA_FIELDS = ("request_id", "tenant")
+
+#: The verdict-relevant request options a shape keeps.  Requests that
+#: differ in any of them have different shapes.
+SHAPE_OPTIONS = (
+    "protocols",
+    "synchronized_clocks",
+    "clock_rate_bound",
+    "clock_jump_bound",
+    "shared_resources",
+    "sa_ds_max_iterations",
+)
+
+#: Version tag baked into every shape key; bump when the payload shape
+#: changes so stale persisted region stores miss instead of serving
+#: regions computed under different semantics.
+SHAPE_FORMAT = "repro-region-shape-v1"
 
 
 def canonical_payload(
@@ -141,3 +173,143 @@ def request_key(request: AdmissionRequest | Mapping[str, Any]) -> str:
 def system_key(system: System, **options) -> str:
     """Shorthand: the key of ``AdmissionRequest(system, **options)``."""
     return request_key(AdmissionRequest(system=system, **options))
+
+
+# ---------------------------------------------------------------------------
+# The one walk: content document, shape payload and execution vector
+# ---------------------------------------------------------------------------
+
+
+def _fraction_token(numerator, denominator) -> Any:
+    """A JSON-stable token for the exact ratio numerator/denominator."""
+    return canonical_number(Fraction(numerator) / Fraction(denominator))
+
+
+def section_shapes(stage) -> list[dict[str, Any]]:
+    """A subtask's critical sections as a shape keeps them: each start
+    and duration as an exact fraction of the execution time."""
+    return [
+        {
+            "resource": section.resource,
+            "start": _fraction_token(section.start, stage.execution_time),
+            "duration": _fraction_token(
+                section.duration, stage.execution_time
+            ),
+        }
+        for section in stage.critical_sections
+    ]
+
+
+def canonical_json(document) -> str:
+    """The shape key's encoding: sorted keys, no spaces, no NaN."""
+    return json.dumps(
+        document, sort_keys=True, separators=(",", ":"), allow_nan=False
+    )
+
+
+class RequestWalk:
+    """What one pass over a request's system yields.
+
+    ``document`` is the request's content document:
+    :func:`~repro.service.requests.request_to_dict` without the caller
+    metadata, in the same key order, so ``request_key(walk.document)``
+    is the request's content key.  ``shape`` is
+    :func:`repro.regions.shape.shape_payload` of the request and
+    ``vector`` its execution times in canonical subtask order
+    (:func:`repro.regions.shape.execution_vector`).  :attr:`shape_key`
+    hashes ``shape`` on first use.
+    """
+
+    __slots__ = ("document", "shape", "vector", "_shape_key")
+
+    def __init__(self, document: dict, shape: dict, vector: tuple) -> None:
+        self.document = document
+        self.shape = shape
+        self.vector = vector
+        self._shape_key: str | None = None
+
+    @property
+    def shape_key(self) -> str:
+        """The SHA-256 hex digest identifying the request's shape."""
+        if self._shape_key is None:
+            encoded = canonical_json(self.shape).encode("utf-8")
+            self._shape_key = hashlib.sha256(encoded).hexdigest()
+        return self._shape_key
+
+
+def walk_request(request: AdmissionRequest) -> RequestWalk:
+    """Walk ``request``'s system once (see :class:`RequestWalk`)."""
+    system = request.system
+    tasks = []
+    task_shapes = []
+    vector: list = []
+    append = vector.append
+    for task in system.tasks:
+        stages = []
+        stage_shapes = []
+        for stage in task.subtasks:
+            execution_time = stage.execution_time
+            processor = stage.processor
+            priority = stage.priority
+            append(execution_time)
+            entry = {
+                "name": stage.name,
+                "execution_time": execution_time,
+                "processor": processor,
+                "priority": priority,
+            }
+            shaped = {"processor": processor, "priority": priority}
+            if stage.critical_sections:
+                entry["critical_sections"] = [
+                    {
+                        "resource": section.resource,
+                        "start": section.start,
+                        "duration": section.duration,
+                    }
+                    for section in stage.critical_sections
+                ]
+                shaped["critical_sections"] = section_shapes(stage)
+            stages.append(entry)
+            stage_shapes.append(shaped)
+        period, phase, deadline = task.period, task.phase, task.deadline
+        tasks.append(
+            {
+                "name": task.name,
+                "period": period,
+                "phase": phase,
+                "deadline": deadline,
+                "subtasks": stages,
+            }
+        )
+        task_shapes.append(
+            {
+                "period": period,
+                "phase": phase,
+                "deadline": deadline,
+                "subtasks": stage_shapes,
+            }
+        )
+    document = {
+        "format": _REQUEST_FORMAT,
+        "system": {
+            "format": _SYSTEM_FORMAT,
+            "name": system.name,
+            "tasks": tasks,
+        },
+        "protocols": list(request.protocols),
+        "jitter_sensitive": request.jitter_sensitive,
+        "wcets_trusted": request.wcets_trusted,
+        "clock_sync_available": request.clock_sync_available,
+        "strictly_periodic_arrivals": request.strictly_periodic_arrivals,
+        "synchronized_clocks": request.synchronized_clocks,
+        "clock_rate_bound": request.clock_rate_bound,
+        "clock_jump_bound": request.clock_jump_bound,
+        "shared_resources": request.shared_resources,
+        "sa_ds_max_iterations": request.sa_ds_max_iterations,
+    }
+    shape = {
+        "format": SHAPE_FORMAT,
+        "tasks": task_shapes,
+        **{name: getattr(request, name) for name in SHAPE_OPTIONS},
+    }
+    return RequestWalk(document, shape, tuple(vector))

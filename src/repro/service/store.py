@@ -20,7 +20,9 @@ That store is written once per engine here:
 * :class:`SqliteStore` keeps a sqlite table in WAL mode.  A real
   ``db_path`` is durable and shared by every process on the host that
   opens it; ``":memory:"`` is private.  Recency is a monotone ``seq``
-  column bumped on every hit.  A database that fails ``PRAGMA
+  column.  A hit only remembers its touch in memory; the touches are
+  written behind, in hit order, by the handle's next write (see
+  :meth:`SqliteStore.get`).  A database that fails ``PRAGMA
   integrity_check`` on open is quarantined and started fresh, then
   rebuilt from the constructor's ``rebuild_from`` snapshot if one is
   given.
@@ -164,6 +166,34 @@ class _KeyedStore:
         self.integrity_failures = 0
 
     # ------------------------------------------------------------------
+    # Lookups (each engine defines ``get`` and ``_read``)
+    # ------------------------------------------------------------------
+    def _counted(self, value):
+        """``value``, counted as a hit, or None as a miss; called under
+        the lock by each engine's ``get``."""
+        if value is None:
+            self._misses += 1
+        else:
+            self._hits += 1
+        return value
+
+    def recheck(self, key: str):
+        """:meth:`get` without counting a hit or a miss.
+
+        For a second look at a key whose counted lookup already missed:
+        the frontend's shard worker takes one after the queue, so every
+        request counts one lookup.  A hit refreshes recency like
+        :meth:`get`.
+        """
+        with self._lock:
+            return self._read(key)
+
+    def _read(self, key: str):
+        """The value for ``key`` or None, refreshing recency on a hit;
+        called under the lock."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     @property
@@ -299,13 +329,13 @@ class MemoryStore(_KeyedStore):
     def get(self, key: str):
         """The stored value for ``key``, or None; counts hit/miss."""
         with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self._misses += 1
-                return None
+            return self._counted(self._read(key))
+
+    def _read(self, key: str):
+        value = self._entries.get(key)
+        if value is not None:
             self._entries.move_to_end(key)
-            self._hits += 1
-            return value
+        return value
 
     def put(self, key: str, value) -> None:
         """Store (or refresh) a value, evicting LRU entries if full."""
@@ -414,6 +444,10 @@ class SqliteStore(_KeyedStore):
         fresh database is started, and -- if this snapshot exists --
         the store rebuilds from it; ``last_recovery`` reports all of
         it and ``integrity_failures`` counts the corruption events.
+
+    Recency is written behind (see :meth:`get`): a hit reads and
+    commits nothing.  Within one handle, LRU order, evictions and
+    snapshots are those of a store that wrote every touch at once.
     """
 
     def __init__(
@@ -428,6 +462,8 @@ class SqliteStore(_KeyedStore):
         self._sql = _statements(self.codec)
         self._db_path = str(db_path)
         self._closed = False
+        # Keys hit since the last write, least recent first (see get).
+        self._touched: dict[str, None] = {}
         self._conn, quarantined = open_sqlite_checked(
             self._db_path, self._sql.schema
         )
@@ -450,24 +486,70 @@ class SqliteStore(_KeyedStore):
         return int(self._conn.execute(self._sql.next_seq).fetchone()[0])
 
     def get(self, key: str):
-        """The stored value for ``key``, or None; counts hit/miss."""
+        """The stored value for ``key``, or None; counts hit/miss.
+
+        A hit records its recency in memory only: it issues one
+        ``SELECT`` and no write.  Pending touches are written in hit
+        order, each with a fresh ``seq``, inside the next :meth:`put`'s
+        transaction before it decides what to evict, and before
+        :meth:`keys`, a snapshot or :meth:`close` read or leave the
+        table.  So this handle's LRU order, evictions and snapshots are
+        exactly those of writing each touch at once.  Another handle on
+        the same file sees this handle's touches only after one of
+        those writes, and a crash loses the pending touches -- recency,
+        never a value.  The pending set holds distinct keys that were
+        rows when hit, so within one handle the capacity bounds it; a
+        hit that finds it larger (other handles replaced rows
+        meanwhile) writes it at once.
+        """
         with self._lock:
-            row = self._conn.execute(self._sql.select, (key,)).fetchone()
-            if row is None:
-                self._misses += 1
-                return None
-            self._conn.execute(self._sql.touch, (self._next_seq(), key))
+            return self._counted(self._read(key))
+
+    def _read(self, key: str):
+        row = self._conn.execute(self._sql.select, (key,)).fetchone()
+        if row is None:
+            return None
+        self._touched.pop(key, None)
+        self._touched[key] = None
+        if len(self._touched) > self._capacity:
+            # Only other handles' writes let distinct hits outnumber
+            # this handle's capacity; write them rather than grow.
+            self._flush_touches()
+        return self.codec.from_dict(json.loads(row[0]))
+
+    def _write_touches(self) -> int:
+        """Give each pending touch a fresh ``seq``, in hit order, in the
+        open transaction; returns the next free ``seq``.  Called under
+        the lock."""
+        seq = self._next_seq()
+        if self._touched:
+            self._conn.executemany(
+                self._sql.touch,
+                [
+                    (number, key)
+                    for number, key in enumerate(self._touched, start=seq)
+                ],
+            )
+            seq += len(self._touched)
+            self._touched.clear()
+        return seq
+
+    def _flush_touches(self) -> None:
+        """Write and commit the pending touches; called under the lock."""
+        if self._touched:
+            self._write_touches()
             self._conn.commit()
-            self._hits += 1
-            return self.codec.from_dict(json.loads(row[0]))
 
     def put(self, key: str, value) -> None:
-        """Store (or refresh) a value, evicting LRU rows if full."""
+        """Store (or refresh) a value, evicting LRU rows if full.
+
+        One transaction: the pending touches (see :meth:`get`), the
+        row, then the eviction.
+        """
         encoded = json.dumps(self.codec.to_dict(value), sort_keys=True)
         with self._lock:
-            self._conn.execute(
-                self._sql.upsert, (key, encoded, self._next_seq())
-            )
+            seq = self._write_touches()
+            self._conn.execute(self._sql.upsert, (key, encoded, seq))
             over = len(self) - self._capacity
             if over > 0:
                 self._conn.execute(self._sql.evict, (over,))
@@ -487,26 +569,33 @@ class SqliteStore(_KeyedStore):
     def keys(self) -> tuple[str, ...]:
         """Current keys, least recently used first."""
         with self._lock:
+            self._flush_touches()
             rows = self._conn.execute(self._sql.keys).fetchall()
             return tuple(row[0] for row in rows)
 
     def clear(self) -> None:
         """Drop every row (counters are kept)."""
         with self._lock:
+            self._touched.clear()
             self._conn.execute(self._sql.clear)
             self._conn.commit()
 
     def _documents(self) -> list[tuple[str, dict]]:
         with self._lock:
+            self._flush_touches()
             rows = self._conn.execute(self._sql.rows).fetchall()
         return [(key, json.loads(encoded)) for key, encoded in rows]
 
     def close(self) -> None:
-        """Close the connection (idempotent; safe on error paths)."""
+        """Write the pending touches and close the connection
+        (idempotent; the connection closes even if the write fails)."""
         with self._lock:
             if not self._closed:
-                self._conn.close()
-                self._closed = True
+                try:
+                    self._flush_touches()
+                finally:
+                    self._conn.close()
+                    self._closed = True
 
 
 def make_store(

@@ -15,7 +15,10 @@ path").  That is only correct if
   ``compute_decision(request_from_dict(document))``;
 * **the memo** -- a repeat keyed by its fingerprint gets exactly the
   key the full check would give, and a miss is admitted under its
-  request's key.
+  request's key;
+* **the one walk** -- the pass that keys a request in the admission
+  pipeline yields byte for byte the content document, the shape
+  payload and the execution vector of the reference codecs.
 
 Run under ``HYPOTHESIS_PROFILE=ci`` in CI's fuzz job.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import copy
+import hashlib
 import json
 from fractions import Fraction
 from unittest import mock
@@ -36,13 +40,21 @@ from repro.model.system import System
 from repro.model.task import CriticalSection, Subtask, Task
 from repro.service.batch import refusal
 from repro.service.engine import compute_decision
+from repro.regions.shape import execution_vector, shape_payload
 from repro.service.frontend import (
     AdmissionFrontend,
     FrontendConfig,
     TenantQuota,
     serve_frontend,
 )
-from repro.service.hashing import request_key
+from repro.service.hashing import (
+    METADATA_FIELDS,
+    _canonical_default,
+    canonical_json,
+    canonical_payload,
+    request_key,
+    walk_request,
+)
 from repro.service.requests import (
     ALL_PROTOCOLS,
     AdmissionRequest,
@@ -155,6 +167,45 @@ def test_wire_document_decodes_to_its_request(request):
     document = json.loads(json.dumps(request_to_dict(request)))
     assert decodes_verbatim(document)
     assert request_from_dict(document) == request
+
+
+def _key_bytes(request_or_document) -> str:
+    return json.dumps(
+        canonical_payload(request_or_document),
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=False,
+        default=_canonical_default,
+    )
+
+
+@settings(max_examples=100)
+@given(request=st.one_of(_requests(), _requests(exact=True)))
+def test_one_walk_yields_the_reference_keys_and_vector(request):
+    """The walk's content document is ``request_to_dict`` without the
+    metadata (type- and order-exact), it hashes to the same bytes, its
+    shape payload encodes like ``shape_payload`` and its vector is
+    ``execution_vector``."""
+    walk = walk_request(request)
+    document = request_to_dict(request)
+    for name in METADATA_FIELDS:
+        del document[name]
+    # repr spells key order, types and signed zeros, as marshal would,
+    # and also covers exact rationals, which marshal cannot write.
+    assert repr(walk.document) == repr(document)
+    assert _key_bytes(walk.document) == _key_bytes(request)
+    assert request_key(walk.document) == request_key(request)
+    reference = shape_payload(request)
+    assert walk.shape == reference
+    try:
+        encoded = canonical_json(reference)
+    except TypeError:  # exact rationals: no shape key, either way
+        with pytest.raises(TypeError):
+            walk.shape_key
+    else:
+        assert canonical_json(walk.shape) == encoded
+        assert walk.shape_key == hashlib.sha256(encoded.encode()).hexdigest()
+    assert walk.vector == execution_vector(request.system)
 
 
 @settings(max_examples=50)
@@ -548,9 +599,9 @@ def test_wire_hit_counts_like_an_admit_hit():
     assert snapshot["aggregate"]["requests"] == 3
     assert snapshot["aggregate"]["cache_hits"] == 2
     assert snapshot["cache"]["hits"] == 2
-    # The miss is looked up once by admit and once on the worker's
-    # re-check; the two hits once each.
-    assert snapshot["cache"]["misses"] == 2
+    # One counted lookup per request: the miss's by admit (the worker's
+    # re-check after the queue is uncounted), the two hits' their own.
+    assert snapshot["cache"]["misses"] == 1
     assert sum(shard["cache_hits"] for shard in snapshot["shards"]) == 2
 
 

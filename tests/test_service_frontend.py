@@ -13,6 +13,7 @@ import ctypes
 import gc
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -299,6 +300,80 @@ class TestDegradation:
                 "service degraded:"
             )
         assert snapshot["aggregate"]["timeouts"] == 1
+
+
+class TestStoreErrors:
+    """A store read that raises on the wire path fails closed: one
+    ``service degraded:`` reply per line, never cached, and the
+    connection stays open for the next line."""
+
+    @staticmethod
+    def _locked(key):
+        raise sqlite3.OperationalError("database is locked")
+
+    @pytest.mark.parametrize("store", ["cache", "regions"])
+    def test_store_read_error_degrades_and_keeps_the_connection(
+        self, store, monkeypatch
+    ):
+        warm = _request(1, "warm")
+        lines = [
+            (json.dumps(request_to_dict(request)) + "\n").encode()
+            for request in (warm, _request(2, "fresh"))
+        ]
+        lines += [b"not json\n", lines[1], lines[0]]
+
+        async def run():
+            config = FrontendConfig(
+                shards=1, cache_backend="sqlite", region_backend="sqlite"
+            )
+            async with AdmissionFrontend(config) as fe:
+                await fe.admit(warm)
+                target = fe.cache if store == "cache" else fe.regions.store
+                target.get = self._locked
+                # The wire path's membership probe meets the lock too.
+                monkeypatch.setattr(
+                    type(target),
+                    "__contains__",
+                    lambda _store, key: self._locked(key),
+                )
+                server = await serve_frontend(fe, port=0)
+                port = server.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                replies = []
+                for line in lines:
+                    writer.write(line)
+                    await writer.drain()
+                    replies.append(
+                        await asyncio.wait_for(reader.readline(), 60)
+                    )
+                writer.close()
+                server.close()
+                await server.wait_closed()
+                return replies, fe.snapshot(), len(fe.cache)
+
+        replies, snapshot, cached = asyncio.run(run())
+        assert all(reply.endswith(b"\n") for reply in replies)
+        documents = [json.loads(reply) for reply in replies]
+        assert "error" in documents[2]
+        degraded = [
+            document
+            for document in documents
+            if document.get("rationale", "").startswith("service degraded:")
+        ]
+        # The warm repeat reads only the decision cache; the fresh
+        # request reads both stores.
+        expected = {"cache": 4, "regions": 2}[store]
+        assert len(degraded) == expected
+        for document in degraded:
+            assert document["admitted"] is False
+            assert "database is locked" in document["rationale"]
+        if store == "regions":
+            assert documents[0]["request_id"] == "warm"
+            assert documents[0]["admitted"] is compute_decision(warm).admitted
+        assert snapshot["aggregate"]["degraded"] == expected
+        assert cached == 1  # only the warm decision, never a refusal
 
 
 class TestLifecycleAndValidation:

@@ -6,6 +6,9 @@ behind a queue) all run the controller's tier order: decision cache,
 region tier, single-flight, compute.  Fed the same stream one request
 at a time, they must serve byte-identical decisions from the same
 tiers, so a tier one entry point skips shows up as a counter mismatch.
+Each store's own hit and miss counts must agree too: every entry point
+counts one lookup per request in each tier it asks, however many times
+it looks.
 """
 
 from __future__ import annotations
@@ -77,15 +80,20 @@ def _wire(decisions) -> list[str]:
     ]
 
 
-def _counters(metrics) -> dict:
-    snapshot = metrics.snapshot()
-    return {name: snapshot[name] for name in COUNTERS}
+def _counters(owner) -> dict:
+    """The metrics counters, then each store's (hits, misses)."""
+    snapshot = owner.metrics.snapshot()
+    counters = {name: snapshot[name] for name in COUNTERS}
+    for name, store in (("cache", owner.cache), ("regions", owner.regions)):
+        stats = store.stats()
+        counters[name] = (stats.hits, stats.misses)
+    return counters
 
 
 def _direct(requests):
     with _controller() as controller:
         decisions = [controller.admit(r) for r in requests]
-        return decisions, _counters(controller.metrics)
+        return decisions, _counters(controller)
 
 
 def _batched(requests):
@@ -95,7 +103,7 @@ def _batched(requests):
             for r in requests
             for decision in controller.admit_batch([r], workers=1)
         ]
-        return decisions, _counters(controller.metrics)
+        return decisions, _counters(controller)
 
 
 def _frontend(requests):
@@ -106,7 +114,7 @@ def _frontend(requests):
     async def run():
         async with AdmissionFrontend(config) as frontend:
             decisions = [await frontend.admit(r) for r in requests]
-            return decisions, _counters(frontend.metrics)
+            return decisions, _counters(frontend)
 
     return asyncio.run(run())
 
@@ -121,7 +129,31 @@ class TestEntryPointParity:
         assert direct_counters["region_builds"] >= 1
         assert direct_counters["region_hits"] >= 3
         assert direct_counters["cache_misses"] >= 3
+        # One decision-cache lookup per request; the region store is
+        # asked once per decision-cache miss.
+        hits, misses = direct_counters["cache"]
+        assert hits + misses == len(requests)
+        assert sum(direct_counters["regions"]) == misses
         for serve in (_batched, _frontend):
             decisions, counters = serve(requests)
             assert _wire(decisions) == _wire(direct), serve.__name__
             assert counters == direct_counters, serve.__name__
+
+
+def test_fresh_frontend_requests_count_one_store_miss_each():
+    """Ten fresh requests: ten store misses, as the metrics count."""
+    requests = [
+        AdmissionRequest(system=generate_system(LIGHT, seed))
+        for seed in range(20, 30)
+    ]
+
+    async def run():
+        config = FrontendConfig(region_backend="memory")
+        async with AdmissionFrontend(config) as frontend:
+            for request in requests:
+                await frontend.admit(request)
+            return frontend.cache.stats(), frontend.metrics.snapshot()
+
+    stats, snapshot = asyncio.run(run())
+    assert (stats.hits, stats.misses) == (0, 10)
+    assert snapshot["cache_misses"] == 10
