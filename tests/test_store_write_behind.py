@@ -17,9 +17,12 @@ Run under ``HYPOTHESIS_PROFILE=ci`` in CI's fuzz job.
 
 from __future__ import annotations
 
+import random
 import subprocess
 import sys
 import tempfile
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -201,6 +204,59 @@ def test_pending_touches_never_outgrow_the_capacity(tmp_path):
     finally:
         writer.close()
         reader.close()
+
+
+def test_concurrent_hits_and_puts_keep_the_store_consistent(tmp_path):
+    """Threads hitting and putting on one handle (the region store's
+    case: builds put from threads while the loop reads): every lookup
+    is counted once, keys stay distinct and within the capacity, a hit
+    returns its own key's value, and a reopened file holds what the
+    handle last listed."""
+    path = tmp_path / "stress.sqlite"
+    store = SqliteDecisionCache(8, db_path=path)
+    gets_per_thread, threads_count = 300, 8
+    wrong = []
+
+    def work(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            for _ in range(gets_per_thread):
+                key = f"k{rng.randrange(12)}"
+                if rng.random() < 0.3:
+                    store.put(key, replace(_decision("x"), key=key))
+                found = store.get(key)
+                if found is not None and found.key != key:
+                    wrong.append((key, found.key))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            wrong.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=work, args=(seed,))
+            for seed in range(threads_count)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert wrong == []
+        stats = store.stats()
+        assert stats.hits + stats.misses == gets_per_thread * threads_count
+        keys = store.keys()
+        assert len(set(keys)) == len(keys) <= 8
+    finally:
+        store.close()
+    reopened = SqliteDecisionCache(8, db_path=path)
+    try:
+        assert reopened.keys() == keys
+    finally:
+        reopened.close()
 
 
 _CRASH = """
