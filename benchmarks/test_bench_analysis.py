@@ -2,7 +2,8 @@
 
 Pins the worked Section 4.3 numbers on Example 2, measures the
 throughput of both schedulability analyses on paper-sized systems, and
-prints where a miss's analysis time goes (``test_analysis_cost_table``).
+prints where a miss's analysis time goes, sectioned misses included
+(``test_analysis_cost_table``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from repro.core.analysis import sa_pm as sa_pm_module
 from repro.core.analysis.busy_period import CompiledSystem
 from repro.core.analysis.sa_ds import analyze_sa_ds, ieert_pass, initial_ieer_bounds
 from repro.core.analysis.sa_pm import analyze_sa_pm
+from repro.locks import (
+    analyze_sa_ds_blocking,
+    analyze_sa_pm_blocking,
+    inject_critical_sections,
+)
 from repro.workload.config import WorkloadConfig
 from repro.workload.examples import example_two
 from repro.workload.generator import generate_system
@@ -80,6 +86,11 @@ def test_ieert_single_pass_throughput(benchmark):
 #: paper-size systems of 12 tasks on 4 processors; ten seeds each.
 MISS_CELLS = [(n, u) for n in (2, 3, 4, 5) for u in (0.5, 0.6, 0.7)]
 
+#: Sectioned miss cells: ratio-0.1 critical sections on the n in {2, 3},
+#: u in {0.5, 0.6} cells, three seeds each -- the float systems of the
+#: sectioned cells in ``tests/corpus/golden_kernel/work.json``.
+SECTIONED_CELLS = [(n, u) for n in (2, 3) for u in (0.5, 0.6)]
+
 
 def _best_total(rounds: int, thunks) -> float:
     """Best-of-``rounds`` wall time of running every thunk once."""
@@ -100,7 +111,8 @@ def test_analysis_cost_table(monkeypatch):
     the kernel runs, busy-period solves and demand evaluations they
     make; and the time per kernel run, split into the solver (the
     recorded solves replayed on their own) and the rest (the kernel's
-    own steps and the drivers around it).
+    own steps and the drivers around it).  Then SA/PM+ and SA/DS+
+    (DPCP, float) time per decision on the sectioned cells.
     """
     systems = [
         generate_system(WorkloadConfig(subtasks_per_task=n, utilization=u), seed)
@@ -169,6 +181,29 @@ def test_analysis_cost_table(monkeypatch):
         f"demand evaluations {evaluations[0]}",
         f"  per kernel run {per_run:6.2f} us = solver {solver_per_run:5.2f}"
         f" + rest {per_run - solver_per_run:5.2f}",
+    ]
+    sectioned = [
+        inject_critical_sections(
+            generate_system(
+                WorkloadConfig(subtasks_per_task=n, utilization=u), seed
+            ),
+            ratio=0.1,
+            seed=seed,
+        )
+        for n, u in SECTIONED_CELLS
+        for seed in range(3)
+    ]
+    sa_pm_plus_s = _best_total(
+        rounds, [lambda s=s: analyze_sa_pm_blocking(s) for s in sectioned]
+    )
+    sa_ds_plus_s = _best_total(
+        rounds, [lambda s=s: analyze_sa_ds_blocking(s) for s in sectioned]
+    )
+    lines += [
+        f"sectioned miss cells, {len(sectioned)} systems (ratio 0.1, DPCP, "
+        f"float, best of {rounds})",
+        f"  SA/PM+  {sa_pm_plus_s / len(sectioned) * 1e6:8.1f} us/decision",
+        f"  SA/DS+  {sa_ds_plus_s / len(sectioned) * 1e6:8.1f} us/decision",
     ]
     save_and_print("analysis_cost", "\n".join(lines))
     assert runs[0] > 0 and solves

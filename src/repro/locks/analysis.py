@@ -43,6 +43,14 @@ least fixed point, iterated from zero; failing to stabilize within
 :data:`_MAX_DEFERRAL_PASSES` declares every resourceful bound infinite
 (sound: the iteration is monotone from below).
 
+**One problem per analysis.**  A blocking-aware call builds the static
+half once: the lock assignment, a table of each section's duration and
+the agent work that can delay it (or its saturated host), and the
+augmented system with its owner map, both from the one place that
+appends agents (:func:`agent_augmented_system`), compiled once.  Each
+pass re-evaluates only the dynamic inputs: the section windows under
+the current jitters, and the analysis on that compilation.
+
 Charging the full WCET on the home processor *and* the section time as
 agent interference *and* the blocking term double-counts section time;
 every count is an upper bound, so the composition stays sound.
@@ -56,12 +64,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Mapping
+from typing import Mapping
 
+from repro.core.analysis.busy_period import CompiledSystem
 from repro.core.analysis.results import FAILURE_FACTOR, AnalysisResult
 from repro.core.analysis.sa_ds import analyze_sa_ds
 from repro.core.analysis.sa_pm import analyze_sa_pm
-from repro.locks.assignment import build_assignment
+from repro.locks.assignment import LockAssignment, build_assignment
 from repro.locks.config import LockingConfig
 from repro.model.system import System
 from repro.model.task import Subtask, SubtaskId, Task
@@ -87,6 +96,84 @@ _MAX_FIXPOINT_PASSES = 10_000
 _MAX_DEFERRAL_PASSES = 60
 
 
+def _section_table(
+    system: System, assignment: LockAssignment, tb: Timebase
+) -> dict[SubtaskId, list]:
+    """The static half of the remote-blocking fixpoint.
+
+    Per resourceful subtask, one entry per critical section in order:
+    ``None`` when the section's host is saturated (total agent
+    utilization at least 1), else ``(d_s, others)`` with ``others`` the
+    ``(u, p_u, c_{u,P})`` of every other subtask that places agent work
+    on the host.
+    """
+    periods = {
+        sid: tb.convert(system.period_of(sid)) for sid in system.subtask_ids
+    }
+    # Agent work and utilization per synchronization processor.
+    work_on = {
+        processor: assignment.agent_work_on(system, processor)
+        for processor in set(assignment.sync_processor.values())
+    }
+    agent_utilization = {
+        processor: sum(
+            tb.convert(c) / periods[u] for u, c in work.items()
+        )
+        for processor, work in work_on.items()
+    }
+    table: dict[SubtaskId, list] = {}
+    for sid in system.subtask_ids:
+        entries = []
+        for section in system.subtask(sid).critical_sections:
+            host = assignment.host_of(section.resource)
+            if agent_utilization[host] >= 1:
+                entries.append(None)
+                continue
+            others = [
+                (u, periods[u], tb.convert(c))
+                for u, c in work_on[host].items()
+                if u != sid
+            ]
+            entries.append((tb.convert(section.duration), others))
+        if entries:
+            table[sid] = entries
+    return table
+
+
+def _windows(
+    table: Mapping[SubtaskId, list],
+    deferral: Mapping[SubtaskId, float],
+    zero,
+) -> dict[SubtaskId, float]:
+    """The dynamic half: every section's window under ``deferral``,
+    summed into ``B_i,j`` per subtask of ``table``."""
+    terms: dict[SubtaskId, float] = {}
+    for sid, entries in table.items():
+        total = zero
+        for entry in entries:
+            if entry is None:
+                total = math.inf
+                break
+            duration, others = entry
+            jitters = [deferral.get(u, 0) for (u, _p, _c) in others]
+            if any(math.isinf(j) for j in jitters):
+                total = math.inf
+                break
+            window = duration
+            for _pass in range(_MAX_FIXPOINT_PASSES):
+                demand = duration
+                for (_u, period, c), j in zip(others, jitters):
+                    demand += (math.floor((window + j) / period) + 1) * c
+                if demand == window:
+                    break
+                window = demand
+            else:
+                window = math.inf
+            total += window - duration
+        terms[sid] = total
+    return terms
+
+
 def blocking_terms(
     system: System,
     locking: LockingConfig | None = None,
@@ -107,55 +194,40 @@ def blocking_terms(
     fixed point.
     """
     tb = get_timebase(timebase)
-    deferral = deferral or {}
-    assignment = build_assignment(system, locking)
-    periods = {
-        sid: tb.convert(system.period_of(sid)) for sid in system.subtask_ids
-    }
-    # Agent work and utilization per synchronization processor.
-    work_on = {
-        processor: assignment.agent_work_on(system, processor)
-        for processor in set(assignment.sync_processor.values())
-    }
-    agent_utilization = {
-        processor: sum(
-            tb.convert(c) / periods[u] for u, c in work.items()
-        )
-        for processor, work in work_on.items()
-    }
-    terms: dict[SubtaskId, float] = {}
+    table = _section_table(system, build_assignment(system, locking), tb)
+    return _windows(table, deferral or {}, tb.zero)
+
+
+def _augment(
+    system: System, assignment: LockAssignment
+) -> tuple[System, dict[SubtaskId, SubtaskId]]:
+    """The augmented system and its owner map (agent pseudo-subtask id
+    -> owning real subtask id); see :func:`agent_augmented_system`."""
+    agents: list[Task] = []
+    owners: dict[SubtaskId, SubtaskId] = {}
     for sid in system.subtask_ids:
-        sections = system.subtask(sid).critical_sections
-        if not sections:
-            continue
-        total = tb.zero
-        for section in sections:
-            host = assignment.host_of(section.resource)
-            if agent_utilization[host] >= 1:
-                total = math.inf
-                break
-            duration = tb.convert(section.duration)
-            others = [
-                (periods[u], tb.convert(c), deferral.get(u, 0))
-                for u, c in work_on[host].items()
-                if u != sid
-            ]
-            if any(math.isinf(j) for (_p, _c, j) in others):
-                total = math.inf
-                break
-            window = duration
-            for _pass in range(_MAX_FIXPOINT_PASSES):
-                demand = duration
-                for period, c, j in others:
-                    demand += (math.floor((window + j) / period) + 1) * c
-                if demand == window:
-                    break
-                window = demand
-            else:
-                window = math.inf
-            total += window - duration
-        terms[sid] = total
-    return terms
+        for index, section in enumerate(
+            system.subtask(sid).critical_sections
+        ):
+            owners[SubtaskId(len(system.tasks) + len(agents), 0)] = sid
+            agents.append(
+                Task(
+                    period=system.task_of(sid).period,
+                    subtasks=(
+                        Subtask(
+                            execution_time=section.duration,
+                            processor=assignment.host_of(section.resource),
+                            priority=assignment.agent_priority[sid],
+                            name=f"agent:{sid}:{index}:{section.resource}",
+                        ),
+                    ),
+                    name=f"agent:{sid}:{index}",
+                )
+            )
+    augmented = System(
+        system.tasks + tuple(agents), name=f"{system.name}+agents"
+    )
+    return augmented, owners
 
 
 def agent_augmented_system(
@@ -168,31 +240,10 @@ def agent_augmented_system(
     the section's duration, on the host, at the owner's agent priority
     (numerically below every normal priority, as in the runtime).  Real
     tasks come first, so every real :class:`SubtaskId` is unchanged.
+    Its one implementation, ``_augment``, also returns which real
+    subtask owns each pseudo subtask.
     """
-    assignment = build_assignment(system, locking)
-    agents: list[Task] = []
-    for sid in system.subtask_ids:
-        owner = system.task_of(sid)
-        for index, section in enumerate(
-            system.subtask(sid).critical_sections
-        ):
-            agents.append(
-                Task(
-                    period=owner.period,
-                    subtasks=(
-                        Subtask(
-                            execution_time=section.duration,
-                            processor=assignment.host_of(section.resource),
-                            priority=assignment.agent_priority[sid],
-                            name=f"agent:{sid}:{index}:{section.resource}",
-                        ),
-                    ),
-                    name=f"agent:{sid}:{index}",
-                )
-            )
-    return System(
-        system.tasks + tuple(agents), name=f"{system.name}+agents"
-    )
+    return _augment(system, build_assignment(system, locking))[0]
 
 
 def _strip_agents(
@@ -223,29 +274,6 @@ def _strip_agents(
         task_bounds=tuple(result.task_bounds[: len(system.tasks)]),
         notes=tuple(notes),
     )
-
-
-def _resourceful(system: System) -> list[SubtaskId]:
-    return [
-        sid
-        for sid in system.subtask_ids
-        if system.subtask(sid).critical_sections
-    ]
-
-
-def _agent_owner_map(system: System) -> dict[SubtaskId, SubtaskId]:
-    """Agent pseudo-subtask id -> owning real subtask id.
-
-    Mirrors :func:`agent_augmented_system`'s append order: one pseudo
-    task per (subtask, section), real tasks first.
-    """
-    owners: dict[SubtaskId, SubtaskId] = {}
-    task_index = len(system.tasks)
-    for sid in system.subtask_ids:
-        for _section in system.subtask(sid).critical_sections:
-            owners[SubtaskId(task_index, 0)] = sid
-            task_index += 1
-    return owners
 
 
 def _maps_close(
@@ -303,29 +331,41 @@ def _apply_infinite_deferrals(
     )
 
 
-def _deferral_fixpoint(
+def _resolve(
     system: System,
-    locking: LockingConfig,
-    tb: Timebase,
-    analyze: Callable[
-        [Mapping[SubtaskId, float], Mapping[SubtaskId, float]],
-        AnalysisResult,
-    ],
-) -> tuple[dict[SubtaskId, float], dict[SubtaskId, float], AnalysisResult]:
+    locking: LockingConfig | None,
+    timebase: Timebase | str,
+    sa_ds: Mapping | None = None,
+) -> tuple[dict[SubtaskId, float], AnalysisResult]:
     """Joint least fixpoint of blocking terms, jitters and bounds.
 
-    ``analyze(blocking, jitter)`` runs the augmented-system analysis;
-    its result's ``system`` must be the augmented system (so infinite
-    deferrals can be propagated along interference sets).  Returns
-    ``(terms, jitter, result)`` at the fixpoint, or with everything
-    resourceful declared infinite when :data:`_MAX_DEFERRAL_PASSES`
-    passes did not stabilize.
+    The one driver of the blocking-aware analyses of a sectioned
+    system, by SA/PM or (given its ``sa_ds`` options) SA/DS, on one
+    DPCP problem (see the module docstring).  Returns ``(terms,
+    result)``, ``result`` projected onto ``system``.
     """
-    owners = _agent_owner_map(system)
-    resourceful = _resourceful(system)
+    tb = get_timebase(timebase)
+    locking = locking if locking is not None else LockingConfig()
+    assignment = build_assignment(system, locking)
+    table = _section_table(system, assignment, tb)
+    augmented, owners = _augment(system, assignment)
+    options = {
+        "timebase": tb,
+        "compiled": CompiledSystem(augmented, tb),
+        **(sa_ds or {}),
+    }
+
+    def analyze(blocking, jitter) -> AnalysisResult:
+        if sa_ds is None:
+            return analyze_sa_pm(
+                augmented, blocking=blocking, jitter=jitter, **options
+            )
+        return analyze_sa_ds(
+            augmented, blocking=blocking, extra_jitter=jitter, **options
+        )
+
     executions = {
-        sid: tb.convert(system.subtask(sid).execution_time)
-        for sid in resourceful
+        sid: tb.convert(system.subtask(sid).execution_time) for sid in table
     }
     # Practical-infinity cutoff (the paper's SA/DS failure reading): a
     # deferral beyond FAILURE_FACTOR periods is declared infinite rather
@@ -333,10 +373,10 @@ def _deferral_fixpoint(
     # otherwise make every subsequent analysis pass slower.
     cutoffs = {
         sid: tb.convert(FAILURE_FACTOR) * tb.convert(system.period_of(sid))
-        for sid in resourceful
+        for sid in table
     }
-    jitter: dict[SubtaskId, float] = {sid: tb.zero for sid in resourceful}
-    terms = blocking_terms(system, locking, timebase=tb, deferral=jitter)
+    jitter: dict[SubtaskId, float] = {sid: tb.zero for sid in table}
+    terms = _windows(table, jitter, tb.zero)
     for _pass in range(_MAX_DEFERRAL_PASSES):
         full = dict(jitter)
         for agent_sid, owner in owners.items():
@@ -346,7 +386,7 @@ def _deferral_fixpoint(
         result = analyze(terms, finite)
         result = _apply_infinite_deferrals(result, inf_sids)
         new_jitter: dict[SubtaskId, float] = {}
-        for sid in resourceful:
+        for sid in table:
             bound = result.subtask_bounds[sid]
             if (
                 math.isinf(bound)
@@ -356,24 +396,22 @@ def _deferral_fixpoint(
                 new_jitter[sid] = math.inf
             else:
                 new_jitter[sid] = max(tb.zero, bound - executions[sid])
-        new_terms = blocking_terms(
-            system, locking, timebase=tb, deferral=new_jitter
-        )
+        new_terms = _windows(table, new_jitter, tb.zero)
         converged = _maps_close(new_jitter, jitter, tb) and _maps_close(
             new_terms, terms, tb
         )
         jitter, terms = new_jitter, new_terms
         if converged:
-            return terms, jitter, result
-    # Still creeping after the cap: declare every resourceful bound
-    # (and everything it interferes with) infinite.
-    jitter = {sid: math.inf for sid in resourceful}
-    terms = {sid: math.inf for sid in resourceful}
-    result = analyze({}, {})
-    result = _apply_infinite_deferrals(
-        result, set(jitter) | set(owners)
-    )
-    return terms, jitter, result
+            break
+    else:
+        # Still creeping after the cap: declare every resourceful bound
+        # (and everything it interferes with) infinite.
+        terms = {sid: math.inf for sid in table}
+        result = _apply_infinite_deferrals(
+            analyze({}, {}), set(table) | set(owners)
+        )
+    label = f"{result.algorithm}+{locking.protocol}"
+    return terms, _strip_agents(result, system, label)
 
 
 def resolved_blocking_terms(
@@ -390,18 +428,7 @@ def resolved_blocking_terms(
     """
     if not system.has_critical_sections:
         return {}
-    tb = get_timebase(timebase)
-    locking = locking if locking is not None else LockingConfig()
-    augmented = agent_augmented_system(system, locking)
-    terms, _jitter, _result = _deferral_fixpoint(
-        system,
-        locking,
-        tb,
-        lambda blocking, jitter: analyze_sa_pm(
-            augmented, blocking=blocking, jitter=jitter, timebase=tb
-        ),
-    )
-    return terms
+    return _resolve(system, locking, timebase)[0]
 
 
 def analyze_sa_pm_blocking(
@@ -419,18 +446,7 @@ def analyze_sa_pm_blocking(
     """
     if not system.has_critical_sections:
         return analyze_sa_pm(system, timebase=timebase)
-    tb = get_timebase(timebase)
-    locking = locking if locking is not None else LockingConfig()
-    augmented = agent_augmented_system(system, locking)
-    _terms, _jitter, result = _deferral_fixpoint(
-        system,
-        locking,
-        tb,
-        lambda blocking, jitter: analyze_sa_pm(
-            augmented, blocking=blocking, jitter=jitter, timebase=tb
-        ),
-    )
-    return _strip_agents(result, system, f"SA/PM+{locking.protocol}")
+    return _resolve(system, locking, timebase)[1]
 
 
 def analyze_sa_ds_blocking(
@@ -447,27 +463,10 @@ def analyze_sa_ds_blocking(
     On a system without critical sections this *is*
     :func:`~repro.core.analysis.sa_ds.analyze_sa_ds`.
     """
+    options = {
+        "failure_factor": failure_factor,
+        "max_iterations": max_iterations,
+    }
     if not system.has_critical_sections:
-        return analyze_sa_ds(
-            system,
-            failure_factor=failure_factor,
-            max_iterations=max_iterations,
-            timebase=timebase,
-        )
-    tb = get_timebase(timebase)
-    locking = locking if locking is not None else LockingConfig()
-    augmented = agent_augmented_system(system, locking)
-    _terms, _jitter, result = _deferral_fixpoint(
-        system,
-        locking,
-        tb,
-        lambda blocking, jitter: analyze_sa_ds(
-            augmented,
-            blocking=blocking,
-            extra_jitter=jitter,
-            failure_factor=failure_factor,
-            max_iterations=max_iterations,
-            timebase=tb,
-        ),
-    )
-    return _strip_agents(result, system, f"SA/DS+{locking.protocol}")
+        return analyze_sa_ds(system, timebase=timebase, **options)
+    return _resolve(system, locking, timebase, options)[1]

@@ -687,22 +687,25 @@ class AdmissionFrontend:
         self, document
     ) -> tuple[str | None, AdmissionRequest | None]:
         """Key a decoded wire document; decode it unless its decision is
-        cached.
+        cached or remembered.
 
         Returns ``(key, None)`` when the cache holds the decision under
-        ``key``: answer with :meth:`admit_cached`.  Otherwise returns
-        ``(key, request)`` for :meth:`admit`, where ``key`` is the
-        request's content key when the document proves it, else
-        ``None``.  Raises the decoder's error for a document that does
-        not decode.  No counter, recency or quota moves.
+        ``key``, or the document is a remembered repeat: answer with
+        :meth:`admit_cached`.  Otherwise returns ``(key, request)`` for
+        :meth:`admit`, where ``key`` is the request's content key when
+        the document proves it, else ``None``.  Raises the decoder's
+        error for a document that does not decode.  No counter, recency
+        or quota moves.
 
         A repeat is recognised by its fingerprint, the SHA-256 of
         :func:`_content_bytes`, in a memo of at most ``cache_capacity``
         keys.  A key enters the memo when the full check --
         :func:`~repro.service.requests.decodes_verbatim`, then
         :func:`~repro.service.hashing.request_key` -- finds it in the
-        cache (``docs/service.md``, "Wire hit path").  Call it from the
-        event loop only.
+        cache (``docs/service.md``, "Wire hit path").  A remembered
+        repeat is not probed against the cache again: its key is proven,
+        and :meth:`admit_cached` serves a decision that left the cache
+        since.  Call it from the event loop only.
         """
         key, request, _walk = self._decode(document)
         return key, request
@@ -722,11 +725,11 @@ class AdmissionFrontend:
         memo = self._key_memo
         key = memo.get(fingerprint)
         if key is not None:
+            # Proven on a type-identical document: no membership probe.
+            # Should the decision have left the cache since,
+            # admit_cached decodes and asks the region tier.
             memo.move_to_end(fingerprint)
-            if self._cached(key):
-                return key, None, None
-            # Evicted since; the key is still the one it decodes to.
-            return key, request_from_dict(document), None
+            return key, None, None
         key = _verbatim_key(document)
         if key is not None and self._cached(key):
             memo[fingerprint] = key

@@ -21,7 +21,13 @@ final bounds (``test_analysis_golden.py``) would hide it:
   ``sum()`` of floats is compensated from Python 3.12 on, so the float
   SA/DS seeds (chain sums) can differ in the last ulp and the float
   runs take other paths to the same bounds: the counts are frozen once
-  per summation, ``plain`` (before 3.12) and ``compensated``.
+  per summation, ``plain`` (before 3.12) and ``compensated``.  The
+  ``locks_*`` cells pin the blocking-aware analyses likewise: ratio-0.1
+  critical sections on four of the miss cells, and per protocol the
+  kernel runs, solves and demand evaluations of SA/PM+ and SA/DS+ and
+  the passes of their deferral loop (analyses run at the names
+  :mod:`repro.locks.analysis` resolves), float over three systems per
+  cell, exact over one.
 * ``opa.json`` -- the priorities :func:`audsley_assignment` returns on
   generated systems, with the default proportional local deadlines
   and with a custom one.
@@ -49,10 +55,18 @@ import pytest
 
 from repro.core.analysis import busy_period as busy_period_module
 from repro.core.analysis import sa_ds as sa_ds_module
+from repro.core.analysis import sa_pm as sa_pm_module
 from repro.core.analysis.busy_period import CompiledSystem, analyze_subtask
 from repro.core.analysis.opa import audsley_assignment
 from repro.core.analysis.sa_ds import analyze_sa_ds, sa_ds_schedulable
 from repro.core.analysis.sa_pm import sa_pm_subtask_details
+from repro.locks import analysis as locks_analysis_module
+from repro.locks import (
+    LockingConfig,
+    analyze_sa_ds_blocking,
+    analyze_sa_pm_blocking,
+    inject_critical_sections,
+)
 from repro.timebase import get_timebase
 from repro.workload.config import WorkloadConfig
 from repro.workload.examples import example_two, monitor_task_example
@@ -69,6 +83,12 @@ MISS_CELLS = [(n, u) for n in (2, 3, 4, 5) for u in (0.5, 0.6, 0.7)]
 #: Systems per miss cell whose work is counted, per timebase.
 WORK_SEEDS = {"float": range(10), "exact": range(1)}
 
+#: Sectioned miss cells: ratio-0.1 critical sections on these cells.
+SECTIONED_CELLS = [(n, u) for n in (2, 3) for u in (0.5, 0.6)]
+
+#: Sectioned systems per cell whose work is counted, per timebase.
+SECTIONED_SEEDS = {"float": range(3), "exact": range(1)}
+
 #: Which ``sum()`` of floats this interpreter has (see ``work.json``).
 SUMMATION = "compensated" if sys.version_info >= (3, 12) else "plain"
 
@@ -81,6 +101,12 @@ OPA_SEEDS = range(20)
 def _miss_system(n: int, u: float, seed: int):
     return generate_system(
         WorkloadConfig(subtasks_per_task=n, utilization=u), seed
+    )
+
+
+def _sectioned_system(n: int, u: float, seed: int):
+    return inject_critical_sections(
+        _miss_system(n, u, seed), ratio=0.1, seed=seed
     )
 
 
@@ -136,15 +162,10 @@ def _records() -> dict:
 
 @contextmanager
 def counted_work():
-    """Count SA/DS kernel runs, busy-period solves and demand
+    """Count SA/PM and SA/DS kernel runs, busy-period solves and demand
     evaluations inside the block, at the names the analyses resolve."""
     counts = {"runs": 0, "solves": 0, "evaluations": 0}
-    kernel = sa_ds_module.busy_period_kernel
     solve = busy_period_module._solve_packed
-
-    def counted_kernel(*args):
-        counts["runs"] += 1
-        return kernel(*args)
 
     def counted_solve(*args):
         result = solve(*args)
@@ -153,8 +174,32 @@ def counted_work():
         return result
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sa_ds_module, "busy_period_kernel", counted_kernel)
+        for module in (sa_pm_module, sa_ds_module):
+            kernel = module.busy_period_kernel
+
+            def counted_kernel(*args, kernel=kernel):
+                counts["runs"] += 1
+                return kernel(*args)
+
+            patch.setattr(module, "busy_period_kernel", counted_kernel)
         patch.setattr(busy_period_module, "_solve_packed", counted_solve)
+        yield counts
+
+
+@contextmanager
+def counted_passes(counts: dict):
+    """Count the deferral loop's analysis passes into ``counts``, at the
+    names :mod:`repro.locks.analysis` resolves."""
+    counts["passes"] = 0
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("analyze_sa_pm", "analyze_sa_ds"):
+            analyze = getattr(locks_analysis_module, name)
+
+            def counted(*args, analyze=analyze, **kwargs):
+                counts["passes"] += 1
+                return analyze(*args, **kwargs)
+
+            patch.setattr(locks_analysis_module, name, counted)
         yield counts
 
 
@@ -173,12 +218,35 @@ def _cell_work(n: int, u: float, timebase: str) -> dict:
     return work
 
 
+def _sectioned_cell_work(n: int, u: float, timebase: str) -> dict:
+    tb = get_timebase(timebase)
+    work = {}
+    for label, analyze in (
+        ("SA/PM+", analyze_sa_pm_blocking),
+        ("SA/DS+", analyze_sa_ds_blocking),
+    ):
+        for protocol in ("DPCP", "DPCP-p"):
+            locking = LockingConfig(protocol)
+            with counted_work() as counts, counted_passes(counts):
+                for seed in SECTIONED_SEEDS[timebase]:
+                    system = _sectioned_system(n, u, seed)
+                    analyze(system, locking=locking, timebase=tb)
+            work[label + protocol] = counts
+    return work
+
+
 def _work() -> dict:
-    return {
+    work = {
         f"n{n}_u{round(u * 100)}@{tb}": _cell_work(n, u, tb)
         for tb in TIMEBASES
         for n, u in MISS_CELLS
     }
+    for tb in TIMEBASES:
+        for n, u in SECTIONED_CELLS:
+            work[f"locks_n{n}_u{round(u * 100)}@{tb}"] = _sectioned_cell_work(
+                n, u, tb
+            )
+    return work
 
 
 def _cumulative_deadline(system, sid) -> float:
@@ -255,6 +323,23 @@ def test_sa_ds_work_matches_golden(cell):
     frozen = _frozen("work")[SUMMATION]
     for tb in TIMEBASES:
         assert _cell_work(n, u, tb) == frozen[f"{cell}@{tb}"], tb
+
+
+@pytest.mark.parametrize(
+    "cell", [f"locks_n{n}_u{round(u * 100)}" for n, u in SECTIONED_CELLS]
+)
+def test_sectioned_work_matches_golden(cell):
+    """Kernel runs, solves, demand evaluations and deferral passes of
+    SA/PM+ and SA/DS+ under both protocols over the sectioned cells are
+    the frozen ones."""
+    n, u = next(
+        (n, u)
+        for n, u in SECTIONED_CELLS
+        if cell == f"locks_n{n}_u{round(u * 100)}"
+    )
+    frozen = _frozen("work")[SUMMATION]
+    for tb in TIMEBASES:
+        assert _sectioned_cell_work(n, u, tb) == frozen[f"{cell}@{tb}"], tb
 
 
 def test_opa_assignments_match_golden():

@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+from repro.core.analysis.busy_period import CompiledSystem
 from repro.core.analysis.sa_ds import analyze_sa_ds
 from repro.core.analysis.sa_pm import analyze_sa_pm
 from repro.locks import (
@@ -23,6 +24,7 @@ from repro.locks import (
     blocking_terms,
     inject_critical_sections,
 )
+from repro.locks import analysis as locks_analysis
 from repro.locks.analysis import resolved_blocking_terms
 from repro.model import CriticalSection, Subtask, SubtaskId, System, Task
 from repro.workload.config import WorkloadConfig
@@ -279,3 +281,107 @@ class TestBlockingAwareAnalyses:
         defaulted = analyze_sa_pm_blocking(_toy())
         assert defaulted.algorithm == explicit.algorithm
         assert defaulted.subtask_bounds == explicit.subtask_bounds
+
+
+def _mixed() -> System:
+    """Half the subtasks hold a section, so some lock-free bounds are
+    interfered with by resourceful subtasks."""
+    return inject_critical_sections(
+        generate_system(CONFIG, seed=1), ratio=0.2, seed=1
+    )
+
+
+class TestOneProblemPerAnalysis:
+    @pytest.mark.parametrize(
+        "analyze", [analyze_sa_pm_blocking, analyze_sa_ds_blocking]
+    )
+    def test_one_assignment_and_one_compilation(self, monkeypatch, analyze):
+        built = {"assignment": 0, "compiled": 0, "passes": 0}
+        build = locks_analysis.build_assignment
+        compile_system = CompiledSystem.__init__
+
+        def counted_build(*args, **kwargs):
+            built["assignment"] += 1
+            return build(*args, **kwargs)
+
+        def counted_compile(self, *args, **kwargs):
+            built["compiled"] += 1
+            compile_system(self, *args, **kwargs)
+
+        monkeypatch.setattr(locks_analysis, "build_assignment", counted_build)
+        monkeypatch.setattr(CompiledSystem, "__init__", counted_compile)
+        for name in ("analyze_sa_pm", "analyze_sa_ds"):
+            base = getattr(locks_analysis, name)
+
+            def counted_pass(*args, base=base, **kwargs):
+                built["passes"] += 1
+                return base(*args, **kwargs)
+
+            monkeypatch.setattr(locks_analysis, name, counted_pass)
+        analyze(_mixed())
+        assert built["passes"] > 1
+        assert (built["assignment"], built["compiled"]) == (1, 1)
+
+
+def _assert_resourceful_bounds_infinite(result, system, label):
+    """Every resourceful bound, every bound a resourceful subtask
+    interferes with and their tasks' bounds are infinite; the result
+    is labelled and holds no agent."""
+    assert result.algorithm == label
+    assert result.system is system
+    assert set(result.subtask_bounds) == set(system.subtask_ids)
+    assert len(result.task_bounds) == len(system.tasks)
+    resourceful = {
+        sid
+        for sid in system.subtask_ids
+        if system.subtask(sid).critical_sections
+    }
+    interfered = {
+        sid
+        for sid in system.subtask_ids
+        if resourceful & set(system.interference_set(sid))
+    }
+    assert interfered - resourceful
+    for sid in resourceful | interfered:
+        assert math.isinf(result.subtask_bounds[sid]), sid
+    for index, task in enumerate(system.tasks):
+        if any(
+            SubtaskId(index, j) in resourceful | interfered
+            for j in range(task.chain_length)
+        ):
+            assert math.isinf(result.task_bounds[index])
+    assert result.failed
+
+
+class TestIterationCaps:
+    @pytest.mark.parametrize("timebase", ["float", "exact"])
+    def test_deferral_pass_cap_declares_resourceful_bounds_infinite(
+        self, monkeypatch, timebase
+    ):
+        # One pass never stabilizes: the jitters move off zero.
+        monkeypatch.setattr(locks_analysis, "_MAX_DEFERRAL_PASSES", 1)
+        system = _mixed()
+        for analyze, label in (
+            (analyze_sa_pm_blocking, "SA/PM+DPCP"),
+            (analyze_sa_ds_blocking, "SA/DS+DPCP"),
+        ):
+            result = analyze(system, timebase=timebase)
+            _assert_resourceful_bounds_infinite(result, system, label)
+        terms = resolved_blocking_terms(system, timebase=timebase)
+        assert terms and all(math.isinf(term) for term in terms.values())
+
+    @pytest.mark.parametrize("timebase", ["float", "exact"])
+    def test_blocking_window_cap_yields_infinite_terms(
+        self, monkeypatch, timebase
+    ):
+        # One window pass cannot settle a contended section.
+        monkeypatch.setattr(locks_analysis, "_MAX_FIXPOINT_PASSES", 1)
+        terms = blocking_terms(_toy(), LockingConfig("DPCP"), timebase=timebase)
+        assert all(math.isinf(term) for term in terms.values())
+        system = _mixed()
+        for analyze, label in (
+            (analyze_sa_pm_blocking, "SA/PM+DPCP"),
+            (analyze_sa_ds_blocking, "SA/DS+DPCP"),
+        ):
+            result = analyze(system, timebase=timebase)
+            _assert_resourceful_bounds_infinite(result, system, label)

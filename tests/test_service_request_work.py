@@ -7,6 +7,9 @@ counted.  Per request:
 
 * a hit on either store commits nothing (recency is written behind);
   a miss commits exactly once, its decision's put;
+* the decision table is read with one ``SELECT`` by a remembered
+  repeat, two (membership probe, then the counted lookup) by a first
+  sighting of a hit and five by a fresh miss;
 * a region hit is served before any shard queue;
 * an observation whose build is not due stays on the event loop (no
   ``asyncio.to_thread``);
@@ -60,6 +63,7 @@ class _Tally:
 
     def reset(self) -> None:
         self.commits = {"cache": 0, "regions": 0}
+        self.selects = 0
         self.walks = self.enqueued = self.threads = 0
 
 
@@ -106,6 +110,8 @@ def test_work_per_request_kind(monkeypatch):
 
                 def trace(statement, name=name):
                     tally.commits[name] += statement == "COMMIT"
+                    if name == "cache":
+                        tally.selects += statement.startswith("SELECT")
 
                 store._conn.set_trace_callback(trace)
             server = await serve_frontend(fe, port=0)
@@ -130,6 +136,7 @@ def test_work_per_request_kind(monkeypatch):
                     tally.walks,
                     tally.enqueued,
                     tally.threads,
+                    tally.selects,
                 )
             writer.close()
             server.close()
@@ -138,16 +145,26 @@ def test_work_per_request_kind(monkeypatch):
 
     counted, snapshot = asyncio.run(run())
     nothing = {"cache": 0, "regions": 0}
-    rationale, commits, walks, enqueued, threads = counted["cache hit"]
+    rationale, commits, walks, enqueued, threads, selects = counted[
+        "cache hit"
+    ]
     assert not rationale.startswith(("region tier:", "service"))
     assert (commits, walks, enqueued, threads) == (nothing, 0, 0, 0)
-    rationale, commits, walks, enqueued, threads = counted["region hit"]
+    assert selects == 2
+    rationale, commits, walks, enqueued, threads, selects = counted[
+        "region hit"
+    ]
     assert rationale.startswith("region tier:")
     assert (commits, walks, enqueued, threads) == (nothing, 1, 0, 0)
-    rationale, commits, walks, enqueued, threads = counted["fresh miss"]
+    assert selects == 2
+    rationale, commits, walks, enqueued, threads, selects = counted[
+        "fresh miss"
+    ]
     assert not rationale.startswith(("region tier:", "service"))
     # One put commits; its shape's first sighting builds nothing.
     assert commits == {"cache": 1, "regions": 0}
     assert (walks, enqueued, threads) == (1, 1, 0)
-    assert counted["cache hit again"][1:] == (nothing, 0, 0, 0)
+    assert selects == 5
+    # A remembered repeat skips the membership probe.
+    assert counted["cache hit again"][1:] == (nothing, 0, 0, 0, 1)
     assert snapshot["aggregate"]["region_hits"] == 1
