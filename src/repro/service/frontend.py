@@ -78,7 +78,6 @@ from repro.service.requests import (
     AdmissionDecision,
     AdmissionRequest,
     decision_to_dict,
-    decodes_verbatim,
     request_from_dict,
 )
 from repro.service.sharding import ShardRing
@@ -126,16 +125,6 @@ def _content_bytes(document) -> bytes:
         },
         2,
     )
-
-
-def _verbatim_key(document) -> str | None:
-    """The content key of a document that decodes verbatim, else ``None``."""
-    if not decodes_verbatim(document):
-        return None
-    try:
-        return request_key(document)
-    except ValueError:  # a non-boolean flag or a NaN: decode says why
-        return None
 
 
 def _echoing(
@@ -474,13 +463,13 @@ class AdmissionFrontend:
         """
         if not self._started:
             return
-        self._started = False  # late admits fail fast, never hang
         mode = drain if drain is not None else self.config.drain
         if mode not in DRAIN_MODES:
             raise ConfigurationError(
                 f"unknown drain mode {mode!r}; expected one of "
                 f"{'/'.join(DRAIN_MODES)}"
             )
+        self._started = False  # late admits fail fast, never hang
         try:
             for shard in self._shards:
                 if mode == "shed":
@@ -638,7 +627,7 @@ class AdmissionFrontend:
         ``key`` (the request's content key) and ``walk`` (its
         :func:`~repro.service.hashing.walk_request`) are the caller's
         when it already holds them (:func:`serve_frontend` hands over
-        what decoding the line proved); either is derived when needed.
+        what decoding the line yielded); either is derived when needed.
         The decision cache, then the region tier, are asked once, here:
         a hit is served without the shard's queue.  Always returns a
         decision: a real verdict, a degraded REJECT (ladder exhausted,
@@ -685,88 +674,58 @@ class AdmissionFrontend:
 
     def decode_document(
         self, document
-    ) -> tuple[str | None, AdmissionRequest | None]:
-        """Key a decoded wire document; decode it unless its decision is
-        cached or remembered.
+    ) -> tuple[str, AdmissionRequest | None, RequestWalk | None]:
+        """Key a decoded wire document; decode it unless it is a
+        remembered repeat.
 
-        Returns ``(key, None)`` when the cache holds the decision under
-        ``key``, or the document is a remembered repeat: answer with
-        :meth:`admit_cached`.  Otherwise returns ``(key, request)`` for
-        :meth:`admit`, where ``key`` is the request's content key when
-        the document proves it, else ``None``.  Raises the decoder's
+        Returns ``(key, None, None)`` for a remembered repeat: answer it
+        with :meth:`admit_cached`.  Otherwise decodes the document
+        (:func:`~repro.service.requests.request_from_dict`), walks the
+        request once (:func:`~repro.service.hashing.walk_request`) and
+        returns ``(key, request, walk)`` for :meth:`admit`, where
+        ``key`` is the request's content key.  Raises the decoder's
         error for a document that does not decode.  No counter, recency
         or quota moves.
 
-        A repeat is recognised by its fingerprint, the SHA-256 of
+        With a decision cache, every document that decodes is
+        remembered by its fingerprint, the SHA-256 of
         :func:`_content_bytes`, in a memo of at most ``cache_capacity``
-        keys.  A key enters the memo when the full check --
-        :func:`~repro.service.requests.decodes_verbatim`, then
-        :func:`~repro.service.hashing.request_key` -- finds it in the
-        cache (``docs/service.md``, "Wire hit path").  A remembered
-        repeat is not probed against the cache again: its key is proven,
-        and :meth:`admit_cached` serves a decision that left the cache
-        since.  Call it from the event loop only.
+        keys (``docs/service.md``, "Wire hit path").  Equal fingerprints
+        mean type-identical documents, which decode to equal requests,
+        so a remembered key is the key decoding would give.  Call it
+        from the event loop only.
         """
-        key, request, _walk = self._decode(document)
-        return key, request
-
-    def _decode(
-        self, document
-    ) -> tuple[str | None, AdmissionRequest | None, RequestWalk | None]:
-        """:meth:`decode_document`, plus the request's walk when it took
-        one (to prove the key), for :meth:`admit` to reuse."""
-        if self.cache is None:
-            return None, request_from_dict(document), None
         try:
-            content = _content_bytes(document)
+            fingerprint = hashlib.sha256(_content_bytes(document)).digest()
         except (AttributeError, ValueError):
-            return None, request_from_dict(document), None
-        fingerprint = hashlib.sha256(content).digest()
+            fingerprint = None  # not an object: the decoder says why
         memo = self._key_memo
         key = memo.get(fingerprint)
         if key is not None:
-            # Proven on a type-identical document: no membership probe.
-            # Should the decision have left the cache since,
-            # admit_cached decodes and asks the region tier.
             memo.move_to_end(fingerprint)
             return key, None, None
-        key = _verbatim_key(document)
-        if key is not None and self._cached(key):
+        request = request_from_dict(document)
+        walk = walk_request(request)
+        key = request_key(walk.document)
+        if fingerprint is not None and self.cache is not None:
             memo[fingerprint] = key
             while len(memo) > self.config.cache_capacity:
                 memo.popitem(last=False)
-            return key, None, None
-        request = request_from_dict(document)
-        if key is None:
-            return None, request, None
-        walk = walk_request(request)
-        if _content_bytes(walk.document) != content:
-            # Verbatim but not canonical (say, reordered protocols or a
-            # missing phase): its request keys differently.
-            key = None
         return key, request, walk
-
-    def _cached(self, key: str) -> bool:
-        """Whether the cache holds ``key``; a store that raises counts as
-        not holding it, so :meth:`admit`'s counted lookup meets the
-        error and fails closed."""
-        try:
-            return key in self.cache
-        except Exception:  # noqa: BLE001 - admit reports it
-            return False
 
     async def admit_cached(
         self, document, key: str
     ) -> AdmissionDecision:
-        """Decide a wire document :meth:`decode_document` found cached
+        """Decide a wire document :meth:`decode_document` remembered
         under ``key``.
 
         The same bookkeeping as :meth:`admit` on a cache hit -- one
         token, one counted lookup, the shard's breaker and metrics --
         without building the request.  The model is decoded only for a
-        quota shed or a store error, or when the entry left the cache
-        in between; then the region tier is asked before the queue, as
-        :meth:`admit` asks it.
+        quota shed or a store error, or when the cache does not hold
+        ``key`` (a region hit's decision is never cached, and an entry
+        may have been evicted); then the region tier is asked before
+        the queue, as :meth:`admit` asks it.
         """
         self._require_started()
         started = time.perf_counter()
@@ -999,13 +958,13 @@ async def serve_frontend(
 
     Each request line is a ``repro-admission-request-v1`` (or bare
     ``repro-system-v1``) document; each response line is the decision
-    document, in request order per connection.  A line whose decision
-    is cached is answered from its JSON document without building the
-    model (:meth:`AdmissionFrontend.decode_document`); any other line is
-    decoded and admitted.  A malformed line -- bad JSON, nested too deep
-    to parse, not UTF-8, longer than :data:`MAX_LINE_BYTES`, or failing
-    to decode as a request -- gets exactly one ``{"error": ...}`` line
-    and the connection stays open.  The returned server is started;
+    document, in request order per connection.  A repeat of a line that
+    decoded before is answered from its JSON document without building
+    the model (:meth:`AdmissionFrontend.decode_document`); any other
+    line is decoded and admitted.  A malformed line -- bad JSON, nested
+    too deep to parse, not UTF-8, longer than :data:`MAX_LINE_BYTES`, or
+    failing to decode as a request -- gets exactly one ``{"error": ...}``
+    line and the connection stays open.  The returned server is started;
     callers own its lifetime (``server.close()`` /
     ``await server.wait_closed()``).  Under glibc the first call pins the
     allocator's thresholds (see :func:`_pin_allocator`).
@@ -1029,9 +988,9 @@ async def serve_frontend(
                     if not text:
                         continue
                     document = json.loads(text)
-                    # An exact repeat is answered from the document; any
-                    # other line is decoded into the model first.
-                    key, request, walk = frontend._decode(document)
+                    # A remembered repeat is answered from the document;
+                    # any other line is decoded into the model first.
+                    key, request, walk = frontend.decode_document(document)
                 except (
                     ReproError,
                     ValueError,

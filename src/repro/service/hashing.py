@@ -11,9 +11,9 @@ shape):
 * a request renders through ``request_to_dict``, whose system part is
   :func:`repro.io.system_to_dict` -- lossless and positional (task
   order is significant in the model, so it is significant in the key);
-  a document already decoded from JSON is hashed as it stands, so an
-  exact repeat on the wire is keyed without building the model (see
-  ``docs/service.md``, "Wire hit path");
+  a document is hashed as it stands -- the pipeline hashes the content
+  document of the request's walk (below), so a wire line is keyed by
+  the request it decodes to, never by its raw JSON;
 * the option fields are emitted under fixed names, absent ones at the
   request's defaults, the boolean flags checked like the decoder
   checks them;
@@ -156,9 +156,11 @@ def _canonical_default(value: Any) -> Any:
 def request_key(request: AdmissionRequest | Mapping[str, Any]) -> str:
     """The SHA-256 hex digest identifying a request's content.
 
-    Takes an :class:`AdmissionRequest` or a decoded request document;
-    a request and its ``request_to_dict`` document, round-tripped
-    through JSON or not, share one key.
+    Takes an :class:`AdmissionRequest` or a request document; a
+    request and its ``request_to_dict`` document, round-tripped through
+    JSON or not, share one key.  The admission pipeline passes
+    ``walk_request(request).document``, so a wire document is keyed by
+    the request it decodes to.
     """
     encoded = json.dumps(
         canonical_payload(request),

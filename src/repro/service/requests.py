@@ -42,7 +42,6 @@ __all__ = [
     "request_to_dict",
     "request_from_dict",
     "request_flags",
-    "decodes_verbatim",
     "decision_to_dict",
     "decision_from_dict",
     "load_requests_jsonl",
@@ -342,52 +341,6 @@ def request_from_dict(data: Mapping[str, Any]) -> AdmissionRequest:
         tenant=str(option("tenant")),
         **request_flags(data),
     )
-
-
-def decodes_verbatim(data: Any) -> bool:
-    """Whether :func:`request_from_dict` keeps every number of ``data``.
-
-    The decoder coerces: times and clock bounds through ``float()``,
-    priorities and the iteration budget through ``int()``.  So the
-    document that spells a period ``10`` decodes to the request that
-    spells it ``10.0``, while a request built in code may hold the
-    ``10`` itself, or an exact ``Fraction`` (which keys as ``"n/d"``).
-    True when ``data`` is a request document whose numbers already have
-    the decoder's types -- then its content key
-    (:func:`repro.service.hashing.request_key`) can only be the key of
-    the request it decodes to.  False for every other value, including
-    documents that would not decode at all.
-    """
-    try:
-        if data.get("format") != _REQUEST_FORMAT or not (
-            type(data.get("clock_rate_bound", 0.0)) is float
-            and type(data.get("clock_jump_bound", 0.0)) is float
-            and type(data.get("sa_ds_max_iterations", 300)) is int
-        ):
-            return False
-        for task in data["system"]["tasks"]:
-            deadline = task.get("deadline")
-            if not (
-                type(task["period"]) is float
-                and type(task.get("phase", 0.0)) is float
-                and (deadline is None or type(deadline) is float)
-            ):
-                return False
-            for stage in task["subtasks"]:
-                if not (
-                    type(stage["execution_time"]) is float
-                    and type(stage.get("priority", 0)) is int
-                ):
-                    return False
-                for section in stage.get("critical_sections", ()):
-                    if not (
-                        type(section["start"]) is float
-                        and type(section["duration"]) is float
-                    ):
-                        return False
-    except (AttributeError, KeyError, TypeError):
-        return False
-    return True
 
 
 def decision_to_dict(decision: AdmissionDecision) -> dict[str, Any]:

@@ -1,12 +1,13 @@
 """Keying request documents: completeness, soundness, wire bookkeeping.
 
-The frontend's wire path keys the decoded JSON document and looks the
-decision up before it builds a model (``docs/service.md``, "Wire hit
-path").  That is only correct if
+The frontend's wire path decodes each new document, keys the request it
+decodes to, and remembers that key by the document's fingerprint, so a
+repeat is looked up before a model is built (``docs/service.md``, "Wire
+hit path").  That is only correct if
 
 * **completeness** -- every request and its ``request_to_dict``
-  document, round-tripped through JSON, share one key, so exact
-  repeats hit;
+  document, round-tripped through JSON, share one key and decode to
+  one another, so a wire repeat of a request built in code hits;
 * **soundness** -- a document is served a cached decision only when it
   decodes to the very request that decision was computed for.  The
   live oracle below warms a real server, sends canonical documents and
@@ -14,8 +15,7 @@ path").  That is only correct if
   an error line iff ``request_from_dict`` raises, otherwise exactly
   ``compute_decision(request_from_dict(document))``;
 * **the memo** -- a repeat keyed by its fingerprint gets exactly the
-  key the full check would give, and a miss is admitted under its
-  request's key;
+  key of the request it decodes to, and only a repeat is not decoded;
 * **the one walk** -- the pass that keys a request in the admission
   pipeline yields byte for byte the content document, the shape
   payload and the execution vector of the reference codecs.
@@ -26,6 +26,7 @@ Run under ``HYPOTHESIS_PROFILE=ci`` in CI's fuzz job.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import copy
 import hashlib
 import json
@@ -59,7 +60,6 @@ from repro.service.requests import (
     ALL_PROTOCOLS,
     AdmissionRequest,
     decision_to_dict,
-    decodes_verbatim,
     request_from_dict,
     request_to_dict,
 )
@@ -163,9 +163,8 @@ def test_wire_document_keys_like_its_request(request):
 @settings(max_examples=100)
 @given(request=_requests())
 def test_wire_document_decodes_to_its_request(request):
-    """The other half of a document hit: it decodes to that request."""
+    """The other half of a wire hit: it decodes to that request."""
     document = json.loads(json.dumps(request_to_dict(request)))
-    assert decodes_verbatim(document)
     assert request_from_dict(document) == request
 
 
@@ -214,7 +213,6 @@ def test_exact_request_document_keys_like_its_request(request):
     # Fractions are not JSON: the in-memory document keys through the
     # same canonical tokens as the request.
     assert request_key(request_to_dict(request)) == request_key(request)
-    assert not decodes_verbatim(request_to_dict(request))
 
 
 def _document(request: AdmissionRequest) -> dict:
@@ -248,52 +246,6 @@ class TestDocumentKey:
         )
         assert request_key(_document(declared)) == request_key(declared)
         assert request_key(declared) != request_key(plain)
-
-
-class TestDecodesVerbatim:
-    def test_canonical_document(self):
-        assert decodes_verbatim(
-            _document(AdmissionRequest(system=example_two()))
-        )
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda d: d["system"]["tasks"][0].update(period=10),
-            lambda d: d["system"]["tasks"][0].update(phase=0),
-            lambda d: d["system"]["tasks"][0].update(deadline=7),
-            lambda d: d["system"]["tasks"][0].update(period="3/2"),
-            lambda d: d["system"]["tasks"][0]["subtasks"][0].update(
-                execution_time=1
-            ),
-            lambda d: d["system"]["tasks"][0]["subtasks"][0].update(
-                priority=True
-            ),
-            lambda d: d["system"]["tasks"][0]["subtasks"][0].update(
-                priority=1.0
-            ),
-            lambda d: d["system"]["tasks"][0]["subtasks"][0].update(
-                critical_sections=[
-                    {"resource": "R1", "start": 0, "duration": 0.5}
-                ]
-            ),
-            lambda d: d.update(clock_rate_bound=0),
-            lambda d: d.update(clock_jump_bound="1/4"),
-            lambda d: d.update(sa_ds_max_iterations=300.0),
-            lambda d: d.update(system=5),
-            lambda d: d["system"].update(tasks=[5]),
-            lambda d: d.update(format="repro-system-v1"),
-            lambda d: d.pop("system"),
-        ],
-    )
-    def test_coerced_or_malformed_document(self, mutate):
-        document = _document(AdmissionRequest(system=example_two()))
-        mutate(document)
-        assert not decodes_verbatim(document)
-
-    @pytest.mark.parametrize("value", [5, [1], "text", None])
-    def test_not_a_document(self, value):
-        assert not decodes_verbatim(value)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +535,27 @@ def test_in_code_twins_are_never_served_to_wire_documents():
         assert reply["key"] != request_key(twin)
 
 
+def test_uncached_frontend_serves_the_decoders_decision():
+    """Without a decision cache, every line -- a repeat, a non-canonical
+    document and a bare system -- still gets the decoder's decision."""
+    document = _document(_warm_requests()[2])
+    non_canonical = copy.deepcopy(document)
+    for task in non_canonical["system"]["tasks"]:
+        task["period"] = int(task["period"])
+    non_canonical["protocols"].reverse()
+    bare = document["system"]
+    lines = [document, document, non_canonical, non_canonical, bare, bare]
+    replies, snapshot = _exchange_wire(
+        FrontendConfig(shards=2, cache_backend=None),
+        [],
+        [_wire(line) for line in lines],
+    )
+    for line, reply in zip(lines, replies):
+        assert reply == _expected(line)
+    assert snapshot["aggregate"]["requests"] == len(lines)
+    assert "cache" not in snapshot
+
+
 # ---------------------------------------------------------------------------
 # Bookkeeping: one token and one counted lookup per decoded request
 # ---------------------------------------------------------------------------
@@ -646,12 +619,14 @@ def test_cached_key_is_pure_and_entry_loss_falls_back():
 
     async def run():
         async with AdmissionFrontend(FrontendConfig(shards=1)) as fe:
-            key, decoded = fe.decode_document(document)
-            assert (key, decoded) == (request_key(request), request)
-            await fe.admit(request)
             before = fe.snapshot()
-            assert fe.decode_document(document) == (key, None)
-            assert fe.snapshot() == before
+            key, decoded, walk = fe.decode_document(document)
+            assert (key, decoded) == (request_key(request), request)
+            assert walk.document == walk_request(request).document
+            await fe.admit(request)
+            admitted = fe.snapshot()
+            assert fe.decode_document(document) == (key, None, None)
+            assert fe.snapshot() == admitted != before
             fe.cache.clear()  # the entry leaves between lookup and admit
             return await fe.admit_cached(document, key), fe.snapshot()
 
@@ -661,7 +636,7 @@ def test_cached_key_is_pure_and_entry_loss_falls_back():
 
 
 # ---------------------------------------------------------------------------
-# The fingerprint memo: a repeat is served the key the full check gives
+# The fingerprint memo: a repeat is served the key decoding gives
 # ---------------------------------------------------------------------------
 
 
@@ -732,14 +707,23 @@ def _twin(document: dict, label: str) -> object:
 
 
 def _full_check_key(document) -> str | None:
-    """What the memo stands in for: the document key of a verbatim
-    document (None when it has none)."""
-    if not decodes_verbatim(document):
-        return None
+    """What the memo stands in for: the key of the request the document
+    decodes to (None when it does not decode)."""
     try:
-        return request_key(document)
-    except ValueError:
+        return request_key(request_from_dict(document))
+    except Exception:  # noqa: BLE001 - any decode failure
         return None
+
+
+def _content(document) -> str:
+    """A document's content, type- and order-exact (``repr``)."""
+    return repr(
+        {
+            name: value
+            for name, value in document.items()
+            if name not in METADATA_FIELDS
+        }
+    )
 
 
 def _stand_in(request: AdmissionRequest, key: str):
@@ -750,42 +734,43 @@ def _stand_in(request: AdmissionRequest, key: str):
 @settings(max_examples=50, deadline=None)
 @given(request=_requests(), twin_cached=st.booleans())
 def test_memo_serves_what_the_full_check_serves(request, twin_cached):
-    """Over a document and each of its twins, sent repeatedly: a key
-    served (from the memo or not) is the document's own key, only a
-    verbatim document is ever served, and a miss's key is its
-    request's."""
+    """Over a document and each of its twins, sent repeatedly: every key
+    served, remembered or not, is the key of the request the line
+    decodes to; a line is decoded unless a line with the same content
+    decoded before, and only a line that decodes is ever remembered."""
     document = _document(request)
     key = request_key(request)
     for label, _ in _TWINS:
         twin = _twin(document, label)
         fe = AdmissionFrontend(FrontendConfig(shards=1, cache_capacity=4))
         fe.cache.put(key, _stand_in(request, key))
-        if twin_cached and _full_check_key(twin) is not None:
+        if twin_cached:
             # As if a request built in code spelled the twin's tokens.
-            fe.cache.put(_full_check_key(twin), _stand_in(request, key))
+            with contextlib.suppress(Exception):
+                fe.cache.put(request_key(twin), _stand_in(request, key))
+        decoded_before = set()
         for value in (document, twin, document, twin, twin):
             line = json.loads(json.dumps(value, allow_nan=True))
             expected = _full_check_key(line)
             try:
-                served, decoded = fe.decode_document(line)
+                served, decoded, walk = fe.decode_document(line)
             except Exception:  # noqa: BLE001 - must be the decoder's error
-                with pytest.raises(Exception):
-                    request_from_dict(line)
+                assert expected is None, label
                 continue
+            assert served == expected, label
             if decoded is None:
-                assert decodes_verbatim(line), label
-                assert served == expected == request_key(line), label
+                assert _content(line) in decoded_before, label
             else:
-                assert expected is None or expected not in fe.cache, label
                 assert decoded == request_from_dict(line), label
-                assert served is None or served == request_key(decoded), label
+                assert request_key(walk.document) == served, label
+                decoded_before.add(_content(line))
         # The document itself was served from the memo on its repeat.
         assert key in fe._key_memo.values(), label
 
 
 def test_repeated_line_is_keyed_from_the_memo():
-    """The first hit runs the full check; every later repeat is keyed
-    by its fingerprint alone, whatever its request id."""
+    """The first sighting is decoded and keyed; every later repeat is
+    keyed by its fingerprint alone, whatever its request id."""
     document = _document(_warm_requests()[0])
     first, again = dict(document), dict(document, request_id="again")
     calls = []
@@ -800,9 +785,8 @@ def test_repeated_line_is_keyed_from_the_memo():
             [],
             [_wire(first)] * 2 + [_wire(again)] * 3,
         )
-    # The miss keys once (the document's key admits it), the first hit
-    # once, and the memo keys the rest.
-    assert len(calls) == 2
+    # The first sighting (a miss) keys once; the memo keys the rest.
+    assert len(calls) == 1
     assert {reply["key"] for reply in replies} == {request_key(document)}
     assert [reply["request_id"] for reply in replies] == (
         ["w-example"] * 2 + ["again"] * 3
@@ -811,8 +795,9 @@ def test_repeated_line_is_keyed_from_the_memo():
 
 
 def test_miss_on_a_non_canonical_document_keys_its_request():
-    """A verbatim document that is not its request's canonical form
-    (reordered protocols) is admitted under its request's key."""
+    """A document that is not its request's canonical form (reordered
+    protocols) is admitted under its request's key, and so is its
+    remembered repeat."""
     document = _document(_warm_requests()[0])
     document["protocols"].reverse()
     assert request_key(document) != request_key(request_from_dict(document))
@@ -830,15 +815,16 @@ def test_memo_stays_within_the_cache_capacity():
     ]
     fe = AdmissionFrontend(FrontendConfig(shards=1, cache_capacity=3))
     for request in requests:
-        key = request_key(request)
-        fe.cache.put(key, _stand_in(request, key))
-        assert fe.decode_document(_document(request)) == (key, None)
+        key, decoded, _walk = fe.decode_document(_document(request))
+        assert (key, decoded) == (request_key(request), request)
         assert len(fe._key_memo) <= 3
     assert len(fe._key_memo) == 3
-    # The newest entries stay; an evicted one takes the full check again.
+    # The newest entries stay; an evicted one is decoded again.
     assert list(fe._key_memo.values()) == [
         request_key(request) for request in requests[-3:]
     ]
+    assert fe.decode_document(_document(requests[-1]))[1] is None
+    assert fe.decode_document(_document(requests[0]))[1] == requests[0]
 
 
 def test_memo_hit_whose_decision_left_the_cache_is_computed():
@@ -856,8 +842,8 @@ def test_memo_hit_whose_decision_left_the_cache_is_computed():
                 await writer.drain()
                 return json.loads(await asyncio.wait_for(reader.readline(), 60))
 
-            await send()  # computed
-            await send()  # a hit: the memo learns the document
+            await send()  # computed: the memo learns the document
+            await send()  # a memo hit
             assert len(fe._key_memo) == 1
             fe.cache.clear()
             reply = await send()  # a memo hit with nothing cached
@@ -874,7 +860,7 @@ def test_memo_hit_whose_decision_left_the_cache_is_computed():
 
 
 def test_quota_shed_on_a_memo_hit():
-    """A memo hit over quota is shed exactly like a full-check hit."""
+    """A memo hit over quota is shed exactly like a decoded hit."""
     request = _warm_requests()[0]
     document = _document(request)
     document["tenant"] = "acme"
@@ -885,7 +871,7 @@ def test_quota_shed_on_a_memo_hit():
     replies, snapshot = _exchange_wire(
         config, [request], [_wire(document)] * 3
     )
-    # The first hit runs the full check, the second is a memo hit.
+    # The first line is decoded, the second is a memo hit.
     assert [r["request_id"] for r in replies] == ["w-example"] * 3
     assert not any(
         r["rationale"].startswith("service shed:") for r in replies[:2]

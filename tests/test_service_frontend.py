@@ -617,17 +617,29 @@ class TestDrainAndTeardown:
         assert aggregate["drain_flushed"] >= 1
         assert aggregate["drain_shed"] == 0
 
-    def test_stop_rejects_unknown_drain_mode(self):
-        async def run():
-            frontend = AdmissionFrontend(FrontendConfig())
-            await frontend.start()
-            try:
-                with pytest.raises(ConfigurationError, match="drain"):
-                    await frontend.stop(drain="hang-up")
-            finally:
-                await frontend.stop()
+    def test_stop_rejects_unknown_drain_mode(self, tmp_path):
+        """A bad drain mode raises before anything stops, so the retry
+        still tears everything down."""
+        config = FrontendConfig(
+            shards=2, cache_backend="sqlite", cache_path=tmp_path / "c.db"
+        )
 
-        asyncio.run(run())
+        async def run():
+            frontend = AdmissionFrontend(config)
+            await frontend.start()
+            with pytest.raises(ConfigurationError, match="drain"):
+                await frontend.stop(drain="hang-up")
+            await frontend.admit(_request(1))  # still serving
+            await frontend.stop()
+            return frontend
+
+        frontend = asyncio.run(run())
+        for shard in frontend._shards:
+            assert all(worker.done() for worker in shard.workers)
+            with pytest.raises(RuntimeError):
+                shard.pool.executor.submit(int)
+        with pytest.raises(sqlite3.ProgrammingError):
+            frontend.cache._conn.execute("SELECT 1")
 
     def test_owned_sqlite_backend_closed_after_exception(self, tmp_path):
         """Satellite regression: no locked WAL, no leaked handle,
@@ -894,9 +906,11 @@ def _glibc_with_mallinfo2() -> bool:
 
 #: Runs in a fresh interpreter: how many chunks glibc maps for one
 #: 256 KiB ``bytes`` (asyncio's socket read size), under glibc's initial
-#: 128 KiB thresholds and then once ``serve_frontend`` has started.
+#: 128 KiB thresholds and then once ``serve_frontend`` has started.  Each
+#: line is that count, then the raw ``mallinfo2`` readings it came from
+#: (mapped chunks and mapped bytes, before and after).
 _MAPPED_CHUNKS_SCRIPT = """
-import asyncio, ctypes
+import asyncio, ctypes, gc
 from repro.service.frontend import AdmissionFrontend, FrontendConfig
 from repro.service.frontend import serve_frontend
 
@@ -911,23 +925,29 @@ libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
 libc.malloc_trim.argtypes = [ctypes.c_size_t]
 
 def mapped_by_read_buffer():
-    before = libc.mallinfo2().hblks
-    buffer = bytes(256 * 1024)
-    mapped = libc.mallinfo2().hblks - before
-    del buffer
-    return mapped
+    gc.disable()  # no collection may free or map between the readings
+    try:
+        before = libc.mallinfo2()
+        buffer = bytes(256 * 1024)
+        after = libc.mallinfo2()
+        del buffer
+    finally:
+        gc.enable()
+    print(after.hblks - before.hblks,
+          "hblks", before.hblks, after.hblks,
+          "hblkhd", before.hblkhd, after.hblkhd)
 
 # Back to glibc's initial thresholds (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD),
 # with the heap's free top returned: a 256 KiB chunk must be mapped.
 libc.mallopt(-3, 128 * 1024)
 libc.mallopt(-1, 128 * 1024)
 libc.malloc_trim(0)
-print(mapped_by_read_buffer())
+mapped_by_read_buffer()
 
 async def serve():
     async with AdmissionFrontend(FrontendConfig(shards=1)) as fe:
         server = await serve_frontend(fe, port=0)
-        print(mapped_by_read_buffer())
+        mapped_by_read_buffer()
         server.close()
         await server.wait_closed()
 
@@ -945,11 +965,13 @@ def test_serving_keeps_socket_read_buffers_off_mmap():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
-    lines = subprocess.run(
+    completed = subprocess.run(
         [sys.executable, "-c", _MAPPED_CHUNKS_SCRIPT],
         capture_output=True,
         text=True,
         env=env,
-        check=True,
-    ).stdout.split()
-    assert lines == ["1", "0"]
+    )
+    output = f"stdout:\n{completed.stdout}\nstderr:\n{completed.stderr}"
+    assert completed.returncode == 0, output
+    mapped = [line.split()[0] for line in completed.stdout.splitlines()]
+    assert mapped == ["1", "0"], output
