@@ -51,6 +51,7 @@ import marshal
 import math
 import os
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -79,6 +80,7 @@ from repro.service.requests import (
     AdmissionRequest,
     decision_to_dict,
     request_from_dict,
+    request_metadata,
 )
 from repro.service.sharding import ShardRing
 from repro.service.store import STORE_BACKENDS
@@ -577,12 +579,14 @@ class AdmissionFrontend:
     def _serve_found(
         self,
         shard: _Shard,
-        found: tuple[AdmissionDecision, str],
-        request_id: str,
+        decision: AdmissionDecision,
+        source: str,
         started: float,
-    ) -> AdmissionDecision:
-        """A cache or region hit, served without the shard's queue."""
-        decision, source = found
+    ) -> None:
+        """Account a cache or region hit, served without the shard's
+        queue.  The region tier counted a region hit into the aggregate;
+        it is counted into the shard here, so the shard's outcomes add
+        up to its requests."""
         if shard.breaker is not None:
             # A hit never touches the executor: return any half-open
             # probe permit unspent.
@@ -593,7 +597,8 @@ class AdmissionFrontend:
             region_hit=source == "region",
             latency=time.perf_counter() - started,
         )
-        return _echoing(decision, request_id)
+        if source == "region":
+            shard.metrics.count(region_hits=1)
 
     def _store_failure(
         self,
@@ -667,9 +672,9 @@ class AdmissionFrontend:
         except Exception as exc:  # noqa: BLE001 - fail closed
             return self._store_failure(shard, request, key, exc, started)
         if found is not None:
-            return self._serve_found(
-                shard, found, request.request_id, started
-            )
+            decision, source = found
+            self._serve_found(shard, decision, source, started)
+            return _echoing(decision, request.request_id)
         return await self._enqueue(shard, request, key, walk, started)
 
     def decode_document(
@@ -725,31 +730,44 @@ class AdmissionFrontend:
         quota shed or a store error, or when the cache does not hold
         ``key`` (a region hit's decision is never cached, and an entry
         may have been evicted); then the region tier is asked before
-        the queue, as :meth:`admit` asks it.
+        the queue, as :meth:`admit` asks it.  The request id and tenant
+        are read as the decoder reads them
+        (:func:`~repro.service.requests.request_metadata`).
+        """
+        decision, _cached = await self._admit_remembered(document, key)
+        return _echoing(decision, request_metadata(document)[0])
+
+    async def _admit_remembered(
+        self, document, key: str
+    ) -> tuple[AdmissionDecision, bool]:
+        """:meth:`admit_cached` without the echo of a cache hit.
+
+        Returns ``(decision, True)`` when ``decision`` is the very
+        object the decision cache returned, still carrying the request
+        id it was computed under, and ``(decision, False)`` for any
+        other decision, which carries the document's request id.
         """
         self._require_started()
         started = time.perf_counter()
-        if not self._take_token(str(document.get("tenant", ""))):
-            return self._quota_shed(request_from_dict(document))
+        if not self._take_token(request_metadata(document)[1]):
+            return self._quota_shed(request_from_dict(document)), False
         shard = self._route(key)
         try:
             cached = self.cache.get(key)
         except Exception as exc:  # noqa: BLE001 - fail closed
-            return self._store_failure(
+            failed = self._store_failure(
                 shard, request_from_dict(document), key, exc, started
             )
+            return failed, False
         if cached is not None:
-            return self._serve_found(
-                shard,
-                (cached, "cache"),
-                str(document.get("request_id", "")),
-                started,
-            )
+            self._serve_found(shard, cached, "cache", started)
+            return cached, True
         request = request_from_dict(document)
         walk = walk_request(request) if self.regions is not None else None
-        return await self._admit_keyed(
+        decision = await self._admit_keyed(
             shard, request, key, walk, started, self._controller.regional
         )
+        return decision, False
 
     async def _enqueue(
         self,
@@ -949,6 +967,76 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
         return None if overlong else line
 
 
+def _encode_line(document: dict) -> bytes:
+    """One reply line: ``document`` as sorted-key JSON and a newline."""
+    return (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _reply_halves(decision: AdmissionDecision) -> tuple[bytes, bytes]:
+    """``decision``'s reply line before and after its request id.
+
+    The keys that sort before ``request_id`` and those that sort after
+    it are encoded apart, as :func:`_encode_line` encodes them together
+    (sorted keys, default separators), so ``head + json.dumps(rid) +
+    tail`` is the line of ``decision`` echoing ``rid``, byte for byte.
+    Nothing is spliced at a placeholder: names are client text and may
+    spell anything.  Neither half is empty: every decision document
+    holds ``admitted`` and ``worst_bound_ratio``.
+    """
+    document = decision_to_dict(decision)
+    head = json.dumps(
+        {name: document[name] for name in document if name < "request_id"},
+        sort_keys=True,
+    )
+    tail = json.dumps(
+        {name: document[name] for name in document if name > "request_id"},
+        sort_keys=True,
+    )
+    return (
+        (head[:-1] + ', "request_id": ').encode("utf-8"),
+        (", " + tail[1:] + "\n").encode("utf-8"),
+    )
+
+
+class _Replies:
+    """Reply halves of cached decisions, by content key.
+
+    Each entry holds a weak reference to the decision object the cache
+    last returned for its key and, once that very object is served a
+    second time, its :func:`_reply_halves`.  Halves are only used for
+    the object they were made from (an identity check), so a store that
+    returns its stored object (the memory store) has its replies
+    encoded once, and one that builds a fresh object per hit (sqlite)
+    encodes each reply whole, as before, and keeps none alive.  At most
+    ``capacity`` entries, least recently served first out.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self._capacity = capacity
+        self._entries: OrderedDict[str, list] = OrderedDict()
+
+    def reply(
+        self, key: str, decision: AdmissionDecision, request_id: str
+    ) -> bytes:
+        """The reply line of ``decision``, the object the decision cache
+        returned for ``key``, echoing ``request_id``."""
+        entries = self._entries
+        entry = entries.get(key)
+        if entry is None or entry[0]() is not decision:
+            entries[key] = [weakref.ref(decision), None]
+            entries.move_to_end(key)
+            if len(entries) > self._capacity:
+                entries.popitem(last=False)
+            return _encode_line(
+                decision_to_dict(_echoing(decision, request_id))
+            )
+        entries.move_to_end(key)
+        if entry[1] is None:
+            entry[1] = _reply_halves(decision)
+        head, tail = entry[1]
+        return head + json.dumps(request_id).encode("utf-8") + tail
+
+
 async def serve_frontend(
     frontend: AdmissionFrontend,
     host: str = "127.0.0.1",
@@ -961,15 +1049,49 @@ async def serve_frontend(
     document, in request order per connection.  A repeat of a line that
     decoded before is answered from its JSON document without building
     the model (:meth:`AdmissionFrontend.decode_document`); any other
-    line is decoded and admitted.  A malformed line -- bad JSON, nested
-    too deep to parse, not UTF-8, longer than :data:`MAX_LINE_BYTES`, or
-    failing to decode as a request -- gets exactly one ``{"error": ...}``
-    line and the connection stays open.  The returned server is started;
+    line is decoded and admitted.  A repeat whose decision the cache
+    returns as the object it returned before is answered from that
+    object's reply, encoded once around the request id
+    (:class:`_Replies`).  A malformed line -- bad JSON, nested too deep
+    to parse, not UTF-8, longer than :data:`MAX_LINE_BYTES`, or failing
+    to decode as a request -- gets exactly one ``{"error": ...}`` line
+    and the connection stays open.  The returned server is started;
     callers own its lifetime (``server.close()`` /
     ``await server.wait_closed()``).  Under glibc the first call pins the
     allocator's thresholds (see :func:`_pin_allocator`).
     """
     _pin_allocator()
+    replies = _Replies(frontend.config.cache_capacity)
+
+    async def reply_to(line: bytes | None) -> bytes | None:
+        """The reply to one request line (None for a blank line).  Its
+        decision is dropped on return: a served object is kept alive
+        only by the store that returned it."""
+        try:
+            if line is None:
+                raise ValueError(f"line longer than {MAX_LINE_BYTES} bytes")
+            text = line.decode("utf-8").strip()
+            if not text:
+                return None
+            document = json.loads(text)
+            # A remembered repeat is answered from the document; any
+            # other line is decoded into the model first.
+            key, request, walk = frontend.decode_document(document)
+        except (
+            ReproError,
+            ValueError,
+            KeyError,
+            TypeError,
+            RecursionError,
+        ) as exc:
+            return _encode_line({"error": f"bad request line: {exc}"})
+        if request is not None:
+            decision = await frontend.admit(request, key=key, walk=walk)
+            return _encode_line(decision_to_dict(decision))
+        decision, cached = await frontend._admit_remembered(document, key)
+        if not cached:
+            return _encode_line(decision_to_dict(decision))
+        return replies.reply(key, decision, request_metadata(document)[0])
 
     async def handle(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -979,40 +1101,10 @@ async def serve_frontend(
                 line = await _read_line(reader)
                 if line == b"":
                     break
-                try:
-                    if line is None:
-                        raise ValueError(
-                            f"line longer than {MAX_LINE_BYTES} bytes"
-                        )
-                    text = line.decode("utf-8").strip()
-                    if not text:
-                        continue
-                    document = json.loads(text)
-                    # A remembered repeat is answered from the document;
-                    # any other line is decoded into the model first.
-                    key, request, walk = frontend.decode_document(document)
-                except (
-                    ReproError,
-                    ValueError,
-                    KeyError,
-                    TypeError,
-                    RecursionError,
-                ) as exc:
-                    payload: dict = {"error": f"bad request line: {exc}"}
-                else:
-                    if request is None:
-                        decision = await frontend.admit_cached(document, key)
-                    else:
-                        decision = await frontend.admit(
-                            request, key=key, walk=walk
-                        )
-                    payload = decision_to_dict(decision)
-                writer.write(
-                    (json.dumps(payload, sort_keys=True) + "\n").encode(
-                        "utf-8"
-                    )
-                )
-                await writer.drain()
+                reply = await reply_to(line)
+                if reply is not None:
+                    writer.write(reply)
+                    await writer.drain()
         finally:
             writer.close()
 

@@ -4,23 +4,41 @@
 sits on the hot path of every admission, so recording must stay O(1)
 and allocation-light.  Every counter is one row of :data:`COUNTERS`,
 moved by :meth:`ServiceMetrics.record` or, by name, by
-:meth:`ServiceMetrics.count`.  Latencies go into a bounded reservoir;
-the percentile estimator sorts on demand (reads are rare, writes are
-hot).
+:meth:`ServiceMetrics.count`.  Latencies go into a
+:class:`LatencyHistogram` over the metrics' whole lifetime: fixed
+logarithmic buckets, each ``1/32`` of a binary order of magnitude wide,
+that keep their count and their largest sample.  A percentile is read
+by nearest rank over the bucket counts and reported as the largest
+sample of the bucket holding that rank, so it is a latency that was
+observed, and at most ``1/32`` above the exact nearest-rank value.
+Histograms merge exactly (counts add, maxima take the max), and their
+memory is bounded by the number of occupied buckets, not of samples.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any, Sequence
 
-__all__ = ["COUNTERS", "ServiceMetrics", "percentile"]
+__all__ = [
+    "COUNTERS",
+    "STEPS",
+    "LatencyHistogram",
+    "ServiceMetrics",
+    "percentile",
+]
 
-#: Default bound on retained latency samples.  A full reservoir
-#: overwrites its slots round-robin, so it holds a sliding window of
-#: the most recent samples -- from the 2N-th sample on, exactly the
-#: last N -- rather than a sample of the whole run.
-_DEFAULT_RESERVOIR = 65536
+#: Equal mantissa steps per binary order of magnitude: a bucket spans
+#: latencies within a factor ``1 + 1/STEPS`` of each other.
+STEPS = 32
+
+#: The bucket of a zero latency: below every positive float's bucket
+#: (the smallest, 5e-324, has binary exponent -1073).
+_ZERO_BUCKET = -(1 << 20)
+
+#: The percentiles :meth:`ServiceMetrics.snapshot` reports.
+_PERCENTILES = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999))
 
 #: Every counter, in :meth:`ServiceMetrics.snapshot` order, with what
 #: one increment means.  :meth:`ServiceMetrics.record` moves the first
@@ -104,25 +122,94 @@ def percentile(samples: Sequence[float], fraction: float) -> float:
         return 0.0
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    return _nearest_rank(sorted(samples), fraction)
+    return sorted(samples)[_rank(len(samples), fraction)]
 
 
-def _nearest_rank(ordered: Sequence[float], fraction: float) -> float:
-    """:func:`percentile` of samples already sorted and non-empty."""
-    rank = min(len(ordered) - 1, max(0, round(fraction * len(ordered)) - 1))
-    return ordered[rank]
+def _rank(count: int, fraction: float) -> int:
+    """The 0-based nearest rank of the ``fraction``-quantile of
+    ``count`` samples."""
+    return min(count - 1, max(0, round(fraction * count) - 1))
+
+
+class LatencyHistogram:
+    """Latencies in fixed logarithmic buckets (not thread-safe).
+
+    A positive latency ``m * 2**e`` (:func:`math.frexp`, ``m`` in
+    [0.5, 1)) goes to the bucket of its exponent ``e`` and of the step
+    of ``m`` among :data:`STEPS` equal steps of [0.5, 1); a zero latency
+    has its own bucket, which sorts first.  Each bucket keeps its count
+    and its largest sample.  The exact maximum and the sum, in arrival
+    order, are kept beside.
+    """
+
+    __slots__ = ("buckets", "count", "total", "max")
+
+    def __init__(self) -> None:
+        #: Bucket index -> ``[count, largest sample]``; indices sort as
+        #: their latencies do.
+        self.buckets: dict[int, list] = {}
+        self.count = 0
+        self.total = 0.0
+        self.max = 0.0
+
+    def add(self, latency: float) -> None:
+        """Count one latency: a finite float >= 0, else ValueError."""
+        if not 0.0 <= latency < math.inf:
+            raise ValueError(
+                f"latency must be finite and >= 0, got {latency!r}"
+            )
+        if latency:
+            mantissa, exponent = math.frexp(latency)
+            index = exponent * STEPS + int(mantissa * (2 * STEPS))
+        else:
+            index = _ZERO_BUCKET
+        bucket = self.buckets.get(index)
+        if bucket is None:
+            self.buckets[index] = [1, latency]
+        else:
+            bucket[0] += 1
+            if latency > bucket[1]:
+                bucket[1] = latency
+        self.count += 1
+        self.total += latency
+        if latency > self.max:
+            self.max = latency
+
+    def merge(self, other: "LatencyHistogram") -> None:
+        """Add ``other``'s samples: counts add, maxima take the max.
+        (The sums add too, so a merged mean can differ in its last bits
+        from the mean of every sample summed in arrival order.)"""
+        for index, (count, largest) in other.buckets.items():
+            bucket = self.buckets.setdefault(index, [0, largest])
+            bucket[0] += count
+            bucket[1] = max(bucket[1], largest)
+        self.count += other.count
+        self.total += other.total
+        self.max = max(self.max, other.max)
+
+    def percentiles(self, fractions: Sequence[float]) -> list[float]:
+        """The nearest-rank ``fractions``-quantiles (ascending), each
+        the largest sample of the bucket holding its rank; ``0.0`` each
+        when empty."""
+        if not self.count:
+            return [0.0] * len(fractions)
+        ranks = [_rank(self.count, fraction) for fraction in fractions]
+        found: list[float] = []
+        seen = 0
+        for index in sorted(self.buckets):
+            count, largest = self.buckets[index]
+            seen += count
+            while len(found) < len(ranks) and ranks[len(found)] < seen:
+                found.append(largest)
+        return found
 
 
 class ServiceMetrics:
-    """Thread-safe counters + latency reservoir for one controller."""
+    """Thread-safe counters + latency histogram for one controller."""
 
-    def __init__(self, reservoir: int = _DEFAULT_RESERVOIR) -> None:
-        if reservoir < 1:
-            raise ValueError(f"reservoir must be >= 1, got {reservoir}")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._reservoir = reservoir
-        self._latencies: list[float] = []
-        self._seen = 0
+        self._latencies = LatencyHistogram()
         self._counts = dict.fromkeys((name for name, _ in COUNTERS), 0)
 
     # ------------------------------------------------------------------
@@ -144,18 +231,12 @@ class ServiceMetrics:
         the decision-cache hit rate keeps its meaning.
         """
         with self._lock:
+            self._latencies.add(latency)  # first: a bad latency raises
             counts = self._counts
             counts["requests"] += 1
             if not region_hit:
                 counts["cache_hits" if cache_hit else "cache_misses"] += 1
             counts["admitted" if admitted else "rejected"] += 1
-            self._seen += 1
-            if len(self._latencies) < self._reservoir:
-                self._latencies.append(latency)
-            else:
-                # Full: overwrite round-robin, keeping a sliding window
-                # of the most recent samples.
-                self._latencies[self._seen % self._reservoir] = latency
 
     def count(self, **increments: int) -> None:
         """Add each ``name=amount`` to its counter, under one lock.
@@ -174,29 +255,37 @@ class ServiceMetrics:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """All counters plus p50/p90/p99/max/mean latency, in seconds."""
+    def latencies(self) -> LatencyHistogram:
+        """A copy of the latency histogram of every recorded admission."""
+        copied = LatencyHistogram()
         with self._lock:
-            latencies = list(self._latencies)
+            copied.merge(self._latencies)
+        return copied
+
+    def snapshot(self) -> dict[str, Any]:
+        """All counters plus p50/p90/p99/p999/max/mean latency, in
+        seconds (see :class:`LatencyHistogram` for what a percentile
+        reports)."""
+        with self._lock:
             counters: dict[str, Any] = dict(self._counts)
+            latencies = self._latencies
+            values = latencies.percentiles(
+                [fraction for _name, fraction in _PERCENTILES]
+            )
+            peak, total, count = (
+                latencies.max,
+                latencies.total,
+                latencies.count,
+            )
         counters["hit_rate"] = (
             counters["cache_hits"] / counters["requests"]
             if counters["requests"]
             else 0.0
         )
-        if not latencies:
-            for name in ("p50", "p90", "p99", "p999", "max", "mean"):
-                counters[f"latency_{name}"] = 0.0
-            return counters
-        # Summed in arrival order, so the mean keeps its bits.
-        mean = sum(latencies) / len(latencies)
-        latencies.sort()  # the copy: one sort serves every rank
-        counters["latency_p50"] = _nearest_rank(latencies, 0.50)
-        counters["latency_p90"] = _nearest_rank(latencies, 0.90)
-        counters["latency_p99"] = _nearest_rank(latencies, 0.99)
-        counters["latency_p999"] = _nearest_rank(latencies, 0.999)
-        counters["latency_max"] = latencies[-1]
-        counters["latency_mean"] = mean
+        for (name, _fraction), value in zip(_PERCENTILES, values):
+            counters[f"latency_{name}"] = value
+        counters["latency_max"] = peak
+        counters["latency_mean"] = total / count if count else 0.0
         return counters
 
     def describe(self) -> str:

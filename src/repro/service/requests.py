@@ -42,6 +42,7 @@ __all__ = [
     "request_to_dict",
     "request_from_dict",
     "request_flags",
+    "request_metadata",
     "decision_to_dict",
     "decision_from_dict",
     "load_requests_jsonl",
@@ -306,6 +307,22 @@ def request_flags(data: Mapping[str, Any]) -> dict[str, bool]:
     return {name: _flag(data, name, OPTION_DEFAULTS[name]) for name in _FLAGS}
 
 
+def request_metadata(data: Mapping[str, Any]) -> tuple[str, str]:
+    """``(request_id, tenant)`` of a request document, as the decoder
+    reads them.
+
+    A bare ``repro-system-v1`` document carries no caller metadata: it
+    decodes to the defaults (``""``, the anonymous tenant) whatever
+    keys of those names it holds.
+    """
+    if data.get("format") == _SYSTEM_FORMAT:
+        return "", ""
+    return (
+        str(data.get("request_id", OPTION_DEFAULTS["request_id"])),
+        str(data.get("tenant", OPTION_DEFAULTS["tenant"])),
+    )
+
+
 def request_from_dict(data: Mapping[str, Any]) -> AdmissionRequest:
     """Rebuild a request from :func:`request_to_dict` output.
 
@@ -327,6 +344,7 @@ def request_from_dict(data: Mapping[str, Any]) -> AdmissionRequest:
             f"(format={data.get('format')!r})"
         )
     system = system_from_dict(data["system"])
+    request_id, tenant = request_metadata(data)
 
     def option(name: str) -> Any:
         return data.get(name, OPTION_DEFAULTS[name])
@@ -337,8 +355,8 @@ def request_from_dict(data: Mapping[str, Any]) -> AdmissionRequest:
         clock_rate_bound=float(option("clock_rate_bound")),
         clock_jump_bound=float(option("clock_jump_bound")),
         sa_ds_max_iterations=int(option("sa_ds_max_iterations")),
-        request_id=str(option("request_id")),
-        tenant=str(option("tenant")),
+        request_id=request_id,
+        tenant=tenant,
         **request_flags(data),
     )
 

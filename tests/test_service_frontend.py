@@ -925,17 +925,27 @@ libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
 libc.malloc_trim.argtypes = [ctypes.c_size_t]
 
 def mapped_by_read_buffer():
+    # A free heap chunk that large serves a 256 KiB request before glibc
+    # maps or grows the heap, and how many the imports left free depends
+    # on what they compiled.  So buffers are taken until one maps or
+    # more than the heap's free bytes are held.
     gc.disable()  # no collection may free or map between the readings
     try:
         before = libc.mallinfo2()
-        buffer = bytes(256 * 1024)
+        buffers = []
+        for _ in range(before.fordblks // (256 * 1024) + 2):
+            buffers.append(bytes(256 * 1024))
+            if libc.mallinfo2().hblks != before.hblks:
+                break
         after = libc.mallinfo2()
-        del buffer
+        taken = len(buffers)
+        del buffers
     finally:
         gc.enable()
     print(after.hblks - before.hblks,
           "hblks", before.hblks, after.hblks,
-          "hblkhd", before.hblkhd, after.hblkhd)
+          "hblkhd", before.hblkhd, after.hblkhd,
+          "buffers", taken, "fordblks", before.fordblks)
 
 # Back to glibc's initial thresholds (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD),
 # with the heap's free top returned: a 256 KiB chunk must be mapped.

@@ -2,12 +2,45 @@
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.service.metrics import COUNTERS, ServiceMetrics, percentile
+from repro.service.metrics import (
+    COUNTERS,
+    STEPS,
+    LatencyHistogram,
+    ServiceMetrics,
+    percentile,
+)
+
+
+def _bucket(latency: float) -> int:
+    """The bucket ``latency`` goes to."""
+    histogram = LatencyHistogram()
+    histogram.add(latency)
+    return next(iter(histogram.buckets))
+
+
+def _assert_matches_samples(snap: dict, samples: list[float]) -> None:
+    """``snap``'s latency fields against the samples, by the histogram
+    contract."""
+    for name, fraction in (
+        ("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999),
+    ):
+        exact = percentile(samples, fraction)
+        reported = snap[f"latency_{name}"]
+        assert reported in samples, name
+        assert exact <= reported <= exact * (1 + 1 / STEPS), name
+    assert snap["latency_max"] == max(samples)
+    total = 0.0
+    for latency in samples:  # left to right, as the samples arrived
+        total += latency
+    assert snap["latency_mean"] == total / len(samples)
 
 
 class TestPercentile:
@@ -63,36 +96,80 @@ class TestServiceMetrics:
         assert "admissions: 0 requests" in ServiceMetrics().describe()
 
     def test_reservoir_is_bounded(self):
-        metrics = ServiceMetrics(reservoir=8)
-        for i in range(100):
-            metrics.record(
-                admitted=True, cache_hit=False, latency=float(i)
-            )
+        """The latency store grows with occupied buckets, not samples."""
+        metrics = ServiceMetrics()
+        samples = [float(i % 100) for i in range(20_000)]
+        for latency in samples:
+            metrics.record(admitted=True, cache_hit=False, latency=latency)
+        histogram = metrics.latencies()
+        occupied = {_bucket(latency) for latency in samples}
+        assert len(histogram.buckets) == len(occupied) < 100
         snap = metrics.snapshot()
-        assert snap["requests"] == 100
-        assert snap["latency_max"] <= 99.0
+        assert snap["requests"] == histogram.count == 20_000
+        assert snap["latency_max"] == 99.0
 
-    @pytest.mark.parametrize("reservoir, count", [(64, 40), (16, 100)])
-    def test_latency_stats_match_the_reservoir(self, reservoir, count):
-        """One sort in ``snapshot`` reads what ``percentile`` would."""
-        rng = random.Random(reservoir)
-        metrics = ServiceMetrics(reservoir=reservoir)
-        for _ in range(count):
-            metrics.record(
-                admitted=True, cache_hit=False, latency=rng.random()
-            )
-        samples = list(metrics._latencies)
+    @pytest.mark.parametrize("seed, count", [(64, 40), (16, 100)])
+    def test_latency_stats_match_the_reservoir(self, seed, count):
+        """Every percentile is an observed sample within 1/32 above the
+        exact nearest rank; max is exact; mean sums in arrival order."""
+        rng = random.Random(seed)
+        samples = [
+            rng.random() * 10 ** rng.randint(-6, 1) for _ in range(count)
+        ]
+        metrics = ServiceMetrics()
+        for latency in samples:
+            metrics.record(admitted=True, cache_hit=False, latency=latency)
+        _assert_matches_samples(metrics.snapshot(), samples)
+
+    def test_zero_latency_sorts_first(self):
+        metrics = ServiceMetrics()
+        for latency in (0.0, 1e-300, 0.0, 2.0, 0.0):
+            metrics.record(admitted=True, cache_hit=False, latency=latency)
         snap = metrics.snapshot()
-        for name, fraction in (
-            ("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999),
-        ):
-            assert snap[f"latency_{name}"] == percentile(samples, fraction)
-        assert snap["latency_max"] == max(samples)
-        assert snap["latency_mean"] == sum(samples) / len(samples)
+        assert snap["latency_p50"] == 0.0
+        assert snap["latency_p90"] == 1e-300
+        assert snap["latency_p99"] == 2.0
+        assert snap["latency_max"] == 2.0
+        assert ServiceMetrics().latencies().percentiles([0.5]) == [0.0]
 
-    def test_reservoir_validation(self):
-        with pytest.raises(ValueError):
-            ServiceMetrics(reservoir=0)
+    @pytest.mark.parametrize("latency", [-1e-9, math.nan, math.inf])
+    def test_bad_latency_rejected_and_uncounted(self, latency):
+        metrics = ServiceMetrics()
+        with pytest.raises(ValueError, match="latency"):
+            metrics.record(admitted=True, cache_hit=False, latency=latency)
+        assert metrics.snapshot()["requests"] == 0
+        assert metrics.latencies().count == 0
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_histogram_property(self, samples):
+        metrics = ServiceMetrics()
+        for latency in samples:
+            metrics.record(admitted=True, cache_hit=False, latency=latency)
+        _assert_matches_samples(metrics.snapshot(), samples)
+
+    def test_merge_is_exact(self):
+        rng = random.Random(7)
+        parts = [
+            [rng.expovariate(1e3) for _ in range(rng.randint(0, 50))]
+            for _ in range(4)
+        ]
+        whole = LatencyHistogram()
+        merged = LatencyHistogram()
+        for part in parts:
+            piece = LatencyHistogram()
+            for latency in part:
+                piece.add(latency)
+                whole.add(latency)
+            merged.merge(piece)
+        assert merged.buckets == whole.buckets
+        assert (merged.count, merged.max) == (whole.count, whole.max)
 
     def test_thread_safe_recording(self):
         metrics = ServiceMetrics()

@@ -18,7 +18,12 @@ from repro.regions.shape import execution_vector, system_at
 from repro.regions.tier import RegionTier
 from repro.service.engine import AdmissionController, compute_decision
 from repro.service.frontend import AdmissionFrontend, FrontendConfig
-from repro.service.requests import ALL_PROTOCOLS, AdmissionRequest
+from repro.service.metrics import LatencyHistogram
+from repro.service.requests import (
+    ALL_PROTOCOLS,
+    AdmissionRequest,
+    request_to_dict,
+)
 from repro.workload.config import WorkloadConfig
 from repro.workload.generator import generate_system
 
@@ -184,6 +189,51 @@ class TestFrontendIntegration:
         assert snapshot["aggregate"]["region_hits"] == 2
         assert snapshot["aggregate"]["cache_hits"] == 0
         assert "regions:" in description
+
+    def test_shard_outcomes_add_up_to_requests(self):
+        """Every served request is one outcome in its shard -- a cache
+        hit, a cache miss or a region hit -- and the shards add up to
+        the aggregate, latency histograms included."""
+        config = FrontendConfig(
+            shards=3,
+            region_backend="memory",
+            region_build_threshold=1,
+        )
+        requests = [
+            _request(scale, seed)
+            for seed in (5, 6, 7)
+            for scale in (1.0, 0.9, 1.0, 0.8, 0.9)
+        ]
+
+        async def go():
+            async with AdmissionFrontend(config) as frontend:
+                for request in requests:
+                    document = request_to_dict(request)
+                    key, decoded, walk = frontend.decode_document(document)
+                    if decoded is None:  # a remembered repeat
+                        await frontend.admit_cached(document, key)
+                    else:
+                        await frontend.admit(decoded, key=key, walk=walk)
+                return frontend.snapshot(), [
+                    shard.metrics.latencies() for shard in frontend._shards
+                ], frontend.metrics.latencies()
+
+        snapshot, shard_latencies, aggregate_latencies = asyncio.run(go())
+        outcomes = ("cache_hits", "cache_misses", "region_hits")
+        for shard in snapshot["shards"]:
+            assert shard["requests"] == sum(shard[name] for name in outcomes)
+        aggregate = snapshot["aggregate"]
+        assert aggregate["region_hits"] > 0 and aggregate["cache_hits"] > 0
+        for name in ("requests", *outcomes):
+            assert aggregate[name] == sum(
+                shard[name] for shard in snapshot["shards"]
+            ), name
+        merged = LatencyHistogram()
+        for latencies in shard_latencies:
+            merged.merge(latencies)
+        assert merged.buckets == aggregate_latencies.buckets
+        assert merged.count == aggregate_latencies.count == len(requests)
+        assert merged.max == aggregate_latencies.max
 
     def test_region_tier_off_by_default(self):
         decisions, snapshot, description = self._run(

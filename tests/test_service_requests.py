@@ -17,6 +17,7 @@ from repro.service.requests import (
     load_decisions_jsonl,
     load_requests_jsonl,
     request_from_dict,
+    request_metadata,
     request_to_dict,
     save_decisions_jsonl,
 )
@@ -48,6 +49,28 @@ class TestRequestCodec:
             system=small_system, protocols=("rg", "ds", "RG")
         )
         assert request.protocols == ("DS", "RG")
+
+
+class TestRequestMetadata:
+    """``request_metadata`` reads what the decoder decodes."""
+
+    def test_request_document(self, small_system):
+        document = request_to_dict(
+            AdmissionRequest(system=small_system, request_id="r", tenant="t")
+        )
+        document["request_id"] = 7  # coerced, as the decoder coerces it
+        assert request_metadata(document) == ("7", "t")
+        decoded = request_from_dict(document)
+        assert (decoded.request_id, decoded.tenant) == ("7", "t")
+        del document["request_id"], document["tenant"]
+        assert request_metadata(document) == ("", "")
+
+    def test_bare_system_document_carries_none(self, small_system):
+        document = system_to_dict(small_system)
+        document.update(request_id="abc", tenant="t1")
+        decoded = request_from_dict(document)
+        assert request_metadata(document) == ("", "")
+        assert (decoded.request_id, decoded.tenant) == ("", "")
 
 
 class TestDecisionCodec:
