@@ -103,82 +103,108 @@ def _best_total(rounds: int, thunks) -> float:
     return best
 
 
+def _decision_times(rounds: int, systems) -> tuple[float, float]:
+    """Best-of-``rounds`` SA/PM and SA/DS wall times over ``systems``,
+    each decision as ``compute_decision`` runs it: a fresh compilation,
+    SA/PM on it, then SA/DS on it (seeded with SA/PM's fixed points)."""
+    best_pm = best_ds = float("inf")
+    clock = time.perf_counter
+    for _ in range(rounds):
+        sa_pm_s = sa_ds_s = 0.0
+        for system in systems:
+            compiled = CompiledSystem(system)
+            start = clock()
+            analyze_sa_pm(system, compiled=compiled)
+            middle = clock()
+            analyze_sa_ds(system, compiled=compiled)
+            sa_pm_s += middle - start
+            sa_ds_s += clock() - middle
+        best_pm, best_ds = min(best_pm, sa_pm_s), min(best_ds, sa_ds_s)
+    return best_pm, best_ds
+
+
 def test_analysis_cost_table(monkeypatch):
     """Where a miss's analysis time goes, on the 120 miss-cell systems.
 
     Report-only (no floor): compile, SA/PM and SA/DS time per decision
-    as ``compute_decision`` runs them (one shared float compilation);
-    the kernel runs, busy-period solves and demand evaluations they
-    make; and the time per kernel run, split into the solver (the
-    recorded solves replayed on their own) and the rest (the kernel's
-    own steps and the drivers around it).  Then SA/PM+ and SA/DS+
-    (DPCP, float) time per decision on the sectioned cells.
+    as ``compute_decision`` runs them (a fresh float compilation per
+    decision, SA/PM then SA/DS on it); the kernel runs, busy-period
+    solves and demand evaluations they make, and SA/DS's kernel runs and
+    evaluations with and without SA/PM's seeds; and the time per kernel
+    run, split into the solver (the recorded solves replayed on their
+    own) and the rest (the kernel's own steps and the drivers around
+    it).  Then SA/PM+ and SA/DS+ (DPCP, float) time per decision on the
+    sectioned cells.
     """
     systems = [
         generate_system(WorkloadConfig(subtasks_per_task=n, utilization=u), seed)
         for n, u in MISS_CELLS
         for seed in range(10)
     ]
-    compiled = [CompiledSystem(system) for system in systems]
     rounds = 5
     compile_s = _best_total(
         rounds, [lambda s=s: CompiledSystem(s) for s in systems]
     )
-    sa_pm_s = _best_total(
-        rounds,
-        [
-            lambda s=s, c=c: analyze_sa_pm(s, compiled=c)
-            for s, c in zip(systems, compiled)
-        ],
-    )
-    sa_ds_s = _best_total(
-        rounds,
-        [
-            lambda s=s, c=c: analyze_sa_ds(s, compiled=c)
-            for s, c in zip(systems, compiled)
-        ],
-    )
+    sa_pm_s, sa_ds_s = _decision_times(rounds, systems)
 
-    # One counted pass: every kernel run, and every solve's arguments.
-    runs = [0]
+    # Counted passes: every kernel run, and every solve's arguments.
+    counts = {"runs": 0, "evaluations": 0}
     solves: list[tuple] = []
-    evaluations = [0]
     solve = busy_period_module._solve_packed
 
     def counted_solve(*args):
         result = solve(*args)
         solves.append(args)
-        evaluations[0] += result[1]
+        counts["evaluations"] += result[1]
         return result
 
     for module in (sa_pm_module, sa_ds_module):
         kernel = module.busy_period_kernel
 
         def counted_kernel(*args, kernel=kernel):
-            runs[0] += 1
+            counts["runs"] += 1
             return kernel(*args)
 
         monkeypatch.setattr(module, "busy_period_kernel", counted_kernel)
     monkeypatch.setattr(busy_period_module, "_solve_packed", counted_solve)
-    for s, c in zip(systems, compiled):
-        analyze_sa_pm(s, compiled=c)
-        analyze_sa_ds(s, compiled=c)
+    sa_ds_work = {}
+    for s in systems:
+        compiled = CompiledSystem(s)
+        analyze_sa_pm(s, compiled=compiled)
+        before = dict(counts)
+        analyze_sa_ds(s, compiled=compiled)
+        for name, value in counts.items():
+            key = ("seeded", name)
+            sa_ds_work[key] = sa_ds_work.get(key, 0) + value - before[name]
+    runs, evaluations = counts["runs"], counts["evaluations"]
+    replayed = list(solves)
+    for s in systems:
+        before = dict(counts)
+        analyze_sa_ds(s)
+        for name, value in counts.items():
+            key = ("unseeded", name)
+            sa_ds_work[key] = sa_ds_work.get(key, 0) + value - before[name]
     monkeypatch.undo()
     solver_s = _best_total(
-        rounds, [lambda: [solve(*args) for args in solves]]
+        rounds, [lambda: [solve(*args) for args in replayed]]
     )
 
     count = len(systems)
-    per_run = (sa_pm_s + sa_ds_s) / runs[0] * 1e6
-    solver_per_run = solver_s / runs[0] * 1e6
+    per_run = (sa_pm_s + sa_ds_s) / runs * 1e6
+    solver_per_run = solver_s / runs * 1e6
     lines = [
-        f"analysis cost over {count} miss-cell systems (float, best of "
-        f"{rounds})",
+        f"analysis cost over {count} miss-cell systems (float, fresh "
+        f"compilation per decision, best of {rounds})",
         f"  compile {compile_s / count * 1e6:8.1f} us/decision",
         f"  SA/PM   {sa_pm_s / count * 1e6:8.1f} us/decision",
         f"  SA/DS   {sa_ds_s / count * 1e6:8.1f} us/decision",
-        f"  kernel runs {runs[0]}, solves {len(solves)}, "
-        f"demand evaluations {evaluations[0]}",
+        f"  kernel runs {runs}, solves {len(replayed)}, "
+        f"demand evaluations {evaluations}",
+        "  SA/DS kernel runs seeded "
+        f"{sa_ds_work['seeded', 'runs']}, unseeded "
+        f"{sa_ds_work['unseeded', 'runs']}; demand evaluations seeded "
+        f"{sa_ds_work['seeded', 'evaluations']}, unseeded "
+        f"{sa_ds_work['unseeded', 'evaluations']}",
         f"  per kernel run {per_run:6.2f} us = solver {solver_per_run:5.2f}"
         f" + rest {per_run - solver_per_run:5.2f}",
     ]
@@ -206,4 +232,4 @@ def test_analysis_cost_table(monkeypatch):
         f"  SA/DS+  {sa_ds_plus_s / len(sectioned) * 1e6:8.1f} us/decision",
     ]
     save_and_print("analysis_cost", "\n".join(lines))
-    assert runs[0] > 0 and solves
+    assert runs > 0 and replayed

@@ -201,9 +201,10 @@ class CompiledShape:
     deadline of ``k``'s task as the model holds it (unconverted: the
     schedulability comparator reads it so).  SA/DS's dependency lists
     are derived on first use: ``readers[o]`` lists the subtasks whose
-    interference set contains ``o``, and ``reads[k]`` the bounds
-    subtask ``k``'s jitters are built from (its own and its
-    interferers' predecessors).
+    interference set contains ``o``, ``reads[k]`` the bounds subtask
+    ``k``'s jitters are built from (its own and its interferers'
+    predecessors), ``components`` SA/DS's visit order over them, and
+    ``gathers[k]`` picks ``k``'s interferers' entries out of a list.
 
     None of this depends on execution times, so a region build, which
     probes one shape at many execution vectors, compiles it once and
@@ -221,6 +222,8 @@ class CompiledShape:
         "inter_period",
         "_readers",
         "_reads",
+        "_components",
+        "_gathers",
     )
 
     def __init__(self, system: System, timebase: Timebase = FLOAT) -> None:
@@ -262,6 +265,7 @@ class CompiledShape:
             for interferers in self.interferers
         ]
         self._readers = self._reads = None
+        self._components = self._gathers = None
 
     @property
     def readers(self) -> list[list[int]]:
@@ -286,12 +290,94 @@ class CompiledShape:
             ]
         return self._reads
 
+    @property
+    def gathers(self) -> list:
+        """``gathers[k](values)`` is the tuple of ``values[o]`` for ``o``
+        in ``interferers[k]``, in that order (an ``itemgetter`` where it
+        can be one)."""
+        if self._gathers is None:
+            self._gathers = [_gather(others) for others in self.interferers]
+        return self._gathers
+
+    @property
+    def components(self) -> list[list[int]]:
+        """The strongly connected components of the ``reads`` graph,
+        each in ``sids`` order, every component after the ones its
+        subtasks read (a topological order of the condensation)."""
+        if self._components is None:
+            self._components = _condensation(self.reads)
+        return self._components
+
     def at(self, execution_times: Sequence) -> "CompiledSystem":
         """This shape at one execution vector (``sids`` order), with no
         :class:`~repro.model.system.System` behind it."""
         return CompiledSystem(
             None, self.timebase, shape=self, execution_times=execution_times
         )
+
+
+def _gather(indices: Sequence[int]):
+    """A function of a sequence: its items at ``indices``, as a tuple."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    if indices:
+        (only,) = indices
+        return lambda values: (values[only],)
+    return lambda values: ()
+
+
+def _condensation(reads: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Tarjan's strongly connected components of the graph with an edge
+    ``k -> r`` for every ``r`` in ``reads[k]``, iteratively.
+
+    Tarjan emits a component only after every component reachable from
+    it, so each component comes after the ones its members read.  Roots
+    are tried in index order, and each component is sorted.
+    """
+    count = len(reads)
+    index = [-1] * count
+    low = [0] * count
+    on_stack = [False] * count
+    stack: list[int] = []
+    components: list[list[int]] = []
+    visited = 0
+    for root in range(count):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(reads[root]))]
+        while work:
+            node, edges = work[-1]
+            for target in edges:
+                if index[target] < 0:
+                    index[target] = low[target] = visited
+                    visited += 1
+                    stack.append(target)
+                    on_stack[target] = True
+                    work.append((target, iter(reads[target])))
+                    break
+                if on_stack[target] and index[target] < low[node]:
+                    low[node] = index[target]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack[member] = False
+                        component.append(member)
+                        if member == node:
+                            break
+                    component.sort()
+                    components.append(component)
+    return components
 
 
 class CompiledSystem:
@@ -306,6 +392,10 @@ class CompiledSystem:
     shared by its analyses; see :func:`compiled_for`) and dropped with
     it.  A compilation made by :meth:`CompiledShape.at` has ``system``
     ``None``.
+
+    ``sa_pm_records`` holds the :class:`WarmStart` record of every
+    subtask's kernel run in the last SA/PM over this compilation
+    (``None`` before one), which SA/DS over it starts from.
     """
 
     __slots__ = (
@@ -319,6 +409,7 @@ class CompiledSystem:
         "predecessor",
         "is_last",
         "terms",
+        "sa_pm_records",
     )
 
     def __init__(
@@ -359,6 +450,7 @@ class CompiledSystem:
             )
             for k, sid in enumerate(sids)
         ]
+        self.sa_pm_records = None
 
 
 def compiled_for(
@@ -392,6 +484,14 @@ class WarmStart:
     as large, so a decreasing input starts cold.  Values are in the
     analysis' timebase, never the kernel's per-call scaled integers.
     An empty record (``terms is None``) covers nothing.
+
+    A float run also keeps its ``result`` tuple, whether it was
+    ``tolerant`` (its demands have steps within the solver's stopping
+    tolerance, so where its iterations stop depends on where they start)
+    and whether it is ``settled``: not tolerant, unaborted, and its busy
+    period and every completion are exact fixed points (``W(t) == t``)
+    of its demands.  A settled record lets the kernel return ``result``
+    again without solving (see :func:`_reused`).
     """
 
     __slots__ = (
@@ -401,10 +501,30 @@ class WarmStart:
         "blocking",
         "busy_period",
         "completions",
+        "tolerant",
+        "settled",
+        "result",
     )
 
     def __init__(self) -> None:
         self.terms = None
+        self.tolerant = self.settled = False
+
+    def copy(self) -> "WarmStart":
+        """An independent record with this one's contents (a run
+        replaces a record's fields; it never mutates them)."""
+        record = WarmStart()
+        if self.terms is not None:
+            record.terms = self.terms
+            record.own_jitter = self.own_jitter
+            record.inter_jitter = self.inter_jitter
+            record.blocking = self.blocking
+            record.busy_period = self.busy_period
+            record.completions = self.completions
+            record.tolerant = self.tolerant
+            record.settled = self.settled
+            record.result = self.result
+        return record
 
     def covers(self, terms: SubtaskTerms, own_jitter, inter_jitter, blocking):
         """Whether this record may seed a run of ``terms`` on these
@@ -431,8 +551,10 @@ def _solve_packed(
     otherwise they are summed from zero and ``base`` is added last (a
     completion).  Float results depend on that order.
 
-    Returns ``(fixed point, demand evaluations)``; the fixed point is
-    ``None`` once an iterate passes ``cap``.
+    Returns ``(fixed point, demand evaluations, settled)``: the fixed
+    point is ``None`` once an iterate passes ``cap``, and ``settled``
+    says the last evaluation returned its own argument, ``W(t) == t``
+    (every exact stop; a float stop within the tolerance may not be).
     """
     if start <= 0:
         raise AnalysisError(f"fixed-point start must be > 0, got {start!r}")
@@ -443,7 +565,7 @@ def _solve_packed(
         # ``-(-a // b)`` is exact ceiling division for positive periods.
         for step in range(DEFAULT_MAX_ITERATIONS):
             if current > cap:
-                return None, step
+                return None, step, False
             total = base if onto_base else 0
             for e, p, j in packed:
                 total += -(-(current + j) // p) * e
@@ -455,13 +577,13 @@ def _solve_packed(
                     f"W({fmt(current)}) = {fmt(total)} < {fmt(current)}"
                 )
             if total == current:
-                return total, step + 1
+                return total, step + 1, True
             current = total
     else:
         ceil, eps = math.ceil, REL_EPS
         for step in range(DEFAULT_MAX_ITERATIONS):
             if current > cap:
-                return None, step
+                return None, step, False
             total = base if onto_base else 0.0
             for e, p, j in packed:
                 total += ceil((current + j) / p - eps) * e
@@ -477,7 +599,7 @@ def _solve_packed(
                     f"W({current:g}) = {total:g} < {current:g}"
                 )
             if total - current <= tolerance:
-                return total, step + 1
+                return total, step + 1, total == current
             current = total
     raise AnalysisError(
         "fixed-point iteration did not settle within "
@@ -494,6 +616,8 @@ def busy_period_kernel(
     abort_above,
     timebase: Timebase,
     warm: WarmStart | None = None,
+    packed: Sequence | None = None,
+    loads: Sequence | None = None,
 ) -> tuple:
     """Steps 1-5 for one subtask: the one busy-period implementation.
 
@@ -512,7 +636,14 @@ def busy_period_kernel(
     ``max(base, C(m-1) + e, C_prev(m))``.  Every start stays at or below
     the least fixed point it iterates to, so under the exact timebase
     the result is the cold result; ``docs/analysis.md`` gives the float
-    argument.
+    argument.  A settled float record whose points are still fixed
+    points returns its result without a solve (:func:`_reused`).
+
+    ``packed`` and ``loads`` are for a float caller that keeps, per
+    interferer, its ``(e, p, J)`` triple and its jitter load
+    ``(J/p + 1)·e`` and rebuilds them only when its jitter moves: the
+    interferers' triples and loads under ``inter_jitter``, in ``terms``
+    order.  Without them the kernel builds both.
 
     The timebase is dispatched once, here: the float steps run below as
     straight-line float code, the exact ones in :func:`_exact_kernel`.
@@ -537,7 +668,7 @@ def busy_period_kernel(
             timebase,
             warm,
         )
-    blocking = timebase.convert(blocking)
+    blocking = float(blocking)
     solve = _solve_packed
     period, wcet = terms.period, terms.wcet
     warm_busy = None
@@ -550,33 +681,51 @@ def busy_period_kernel(
     # W(t) <= base + U' t + sum (J/p + 1) e with U' the terms' utilization,
     # so its least fixed point is at most (base + sum (J/p + 1) e)/(1 - U').
     # Doubling gives a safety net that a correct iteration can never hit.
-    packed = list(zip(terms.inter_e, terms.inter_p, inter_jitter))
-    loads = [(j / p + 1) * e for e, p, j in packed]
+    if packed is None:
+        packed = list(zip(terms.inter_e, terms.inter_p, inter_jitter))
+        loads = [(j / p + 1) * e for e, p, j in packed]
     jitter_load_interference = sum(loads)
-    loads.append((own_jitter / period + 1) * wcet)
-    cap_busy = 2 * ((sum(loads) + blocking) / terms.slack) + period
+    cap_busy = (
+        2
+        * (
+            (sum([*loads, (own_jitter / period + 1) * wcet]) + blocking)
+            / terms.slack
+        )
+        + period
+    )
     # The solver stops once an iterate grows by at most REL_EPS
     # (relative).  Every iterate is at most cap_busy, so when each demand
     # step is well above that tolerance, both a cold and a warm iteration
     # stop only on a fixed point and they agree.  Otherwise where the
-    # iteration stops depends on where it starts: start cold.
-    if warm_busy is not None and terms.smallest_step <= _WARM_GATE * (
+    # iteration stops depends on where it starts: start cold, and do not
+    # call the run settled.
+    tolerant = terms.smallest_step <= _WARM_GATE * (
         cap_busy if cap_busy > 1.0 else 1.0
-    ):
+    )
+    if tolerant:
         warm_busy = None
+    elif (
+        warm_busy is not None
+        and warm.settled
+        and own_jitter == warm.own_jitter
+        and blocking == warm.blocking
+    ):
+        reused = _reused(warm, terms, inter_jitter, abort_above)
+        if reused is not None:
+            return reused
 
     # Step 1: busy-period length D_i,j (self term included).
     start = terms.wcet_sum + blocking
     if warm_busy is not None and warm_busy > start:
         start = warm_busy
-    busy_period = solve(
-        packed + [(wcet, period, own_jitter)],
+    busy_period, _, settled = solve(
+        [*packed, (wcet, period, own_jitter)],
         blocking,
         True,
         start,
         cap_busy,
         False,
-    )[0]
+    )
     if busy_period is None:  # pragma: no cover - cap is analytic, see above
         return _DIVERGED
 
@@ -593,21 +742,25 @@ def busy_period_kernel(
     per_instance: list = []
     completions: list = []
     bound, aborted = None, False
+    completion = 0.0
     for m in range(1, instance_count + 1):
         base = m * wcet + blocking
         # C(m) >= C(m-1) + e; the first base is at least e already.
-        start = base if m == 1 else max(base, completion + wcet)
+        start = completion + wcet
+        if start < base:
+            start = base
         cap_completion = (
             2 * ((base + jitter_load_interference) / interference_slack)
             + period
         )
         if m <= warm_count and warm_completions[m - 1] > start:
             start = warm_completions[m - 1]
-        completion = solve(
+        completion, _, exact_stop = solve(
             packed, base, False, start, cap_completion, False
-        )[0]
+        )
         if completion is None:  # pragma: no cover - analytic cap
             break
+        settled = settled and exact_stop
         completions.append(completion)
         instance_bound = completion + own_jitter - (m - 1) * period
         per_instance.append(instance_bound)
@@ -616,13 +769,54 @@ def busy_period_kernel(
             break
     else:
         bound = max(per_instance)
+    result = (busy_period, instance_count, tuple(per_instance), bound, aborted)
     if warm is not None:
         warm.terms = terms
         warm.own_jitter = own_jitter
         warm.inter_jitter = inter_jitter
         warm.blocking = blocking
         warm.busy_period, warm.completions = busy_period, completions
-    return busy_period, instance_count, tuple(per_instance), bound, aborted
+        warm.tolerant = tolerant
+        warm.settled = settled and not tolerant and bound is not None
+        warm.result = result
+    return result
+
+
+def _reused(
+    warm: WarmStart, terms: SubtaskTerms, inter_jitter: Sequence, abort_above
+) -> tuple | None:
+    """The recorded result of a float run, when a warm run on these
+    inputs would return it; else ``None``.
+
+    ``warm`` covers these inputs, passed the warm-start gate, is
+    ``settled`` (its busy period and every completion are exact fixed
+    points, ``W(t) == t``, of the recorded demands, and the run ended
+    unaborted) and has this run's own jitter and blocking term.  So
+    only the interferers whose jitter moved can change a demand, and
+    only through their ceiling counts.  If none of those counts moves
+    at the recorded busy period or at any recorded completion, each of
+    those points is an exact fixed point of the new demand too (the
+    same float sum of the same terms) and below its cap (the caps only
+    grew), so a warm run would start at each of them, return it after
+    one evaluation and rebuild the recorded result, unless the result
+    passes ``abort_above``.  The record then takes the new inputs, as
+    that run would have written them.
+    """
+    result = warm.result
+    if abort_above is not None and result[3] > abort_above:
+        return None
+    ceil, eps = math.ceil, REL_EPS
+    points = None
+    for p, j, old in zip(terms.inter_p, inter_jitter, warm.inter_jitter):
+        if j == old:
+            continue
+        if points is None:
+            points = (warm.busy_period, *warm.completions)
+        for t in points:
+            if ceil((t + j) / p - eps) != ceil((t + old) / p - eps):
+                return None
+    warm.inter_jitter = inter_jitter
+    return result
 
 
 def _exact_kernel(
@@ -745,6 +939,8 @@ def _exact_kernel(
     if warm is not None:
         warm.terms = terms
         warm.own_jitter, warm.inter_jitter, warm.blocking = given
+        warm.tolerant = warm.settled = False
+        warm.result = None
         if out is None:
             warm.busy_period, warm.completions = busy_period, completions
         else:

@@ -214,8 +214,9 @@ class _Problem:
 
     ``seed`` holds the SA/DS seed bounds in ``compiled.sids`` order,
     ``cutoffs[k]`` is ``failure_factor * p_k`` (the per-instance abort,
-    and at last subtasks the task-level cutoff), and ``readers`` is the
-    shape's (see :class:`~repro.core.analysis.busy_period.CompiledShape`).
+    and at last subtasks the task-level cutoff), and ``readers`` and
+    ``components`` are the shape's (see
+    :class:`~repro.core.analysis.busy_period.CompiledShape`).
 
     A *verdict* problem (see :func:`sa_ds_schedulable`) also holds
     ``limits[k]`` for last subtasks: a bound above it settles the
@@ -234,6 +235,7 @@ class _Problem:
         "unbounded",
         "lasts",
         "readers",
+        "components",
         "limits",
         "stops",
     )
@@ -286,6 +288,24 @@ class _Problem:
             self.unbounded = [False] * count
         self.lasts = [k for k in range(count) if compiled.is_last[k]]
         self.readers = compiled.shape.readers
+        # A verdict run sweeps in ``sids`` order, as one component: most
+        # verdict probes miss a deadline, and visiting every chain early,
+        # on inputs not yet final, shows the miss sooner.
+        self.components = (
+            [list(range(count))] if verdict else compiled.shape.components
+        )
+
+    def warm_starts(self) -> list[WarmStart]:
+        """One warm-start record per subtask for an iteration to own:
+        copies of the records of the last SA/PM over this compilation
+        when one ran, else empty ones.  SA/PM's demands are SA/DS's with
+        every jitter at zero, so its fixed points lie at or below
+        SA/DS's; ``WarmStart.covers`` still admits each record only for
+        inputs at least as large as its own."""
+        records = self.compiled.sa_pm_records
+        if records is None:
+            return [WarmStart() for _ in self.seed]
+        return [record.copy() for record in records]
 
     def jitters(self, bounds: Sequence) -> tuple[list, list]:
         """Own and interfering jitter of every subtask under ``bounds``."""
@@ -345,7 +365,7 @@ def _jacobi(
     unbounded = problem.unbounded
     terms, interferers = problem.compiled.terms, problem.compiled.interferers
     blocking, cutoffs = problem.own_blocking, problem.cutoffs
-    warm = [WarmStart() for _ in range(count)]
+    warm = problem.warm_starts()
     outputs: list = [None] * count
     own = interfering = None
     notes: list[str] = []
@@ -424,11 +444,17 @@ def _chaotic(
 ) -> tuple[list, int] | None:
     """SA/DS as Gauss-Seidel sweeps; ``None`` where Jacobi must answer.
 
-    A sweep visits the dirty subtasks in ``compiled.sids`` order (chain
-    order within each task) and reads every bound as soon as it is
-    written.  A bound that moves updates its successor's jitters in
-    place and marks the successor and the successor's readers dirty;
-    the sweeps stop once nothing is dirty.
+    The sweeps run component by component, in the order of
+    ``problem.components``: the strongly connected components of the
+    ``reads`` graph, each after the components its subtasks read (in a
+    verdict problem, one component of every subtask).  A component is
+    swept until nothing in it is dirty, visiting its dirty subtasks in
+    ``compiled.sids`` order and reading every bound as soon as it is
+    written; its bounds are then final, since nothing it reads moves
+    again.  A bound that moves updates its successor's jitters in place
+    and marks the successor and the successor's readers dirty.
+    Returns ``(bounds, sweeps)``: ``sweeps`` is the most sweeps any one
+    component took.
 
     ``level[k]`` is the Jacobi depth of bound ``k``: 1 + the largest
     depth among the bounds its last moving run read (seed bounds are at
@@ -438,15 +464,18 @@ def _chaotic(
     one -- by pass ``max(level)`` and confirm it on the pass after.
     The sweeps give way as soon as a depth reaches ``max_iterations``
     (depths only grow) or a bound trips the failure cutoff.  A bound
-    that moves in sweep ``s`` has depth at least ``s``, so the sweeps
-    also settle within ``max_iterations``.
+    that moves in a component's sweep ``s`` has depth at least ``s``,
+    so the sweeps also settle within ``max_iterations``.
 
-    Under the float timebase the sweeps also give way when a bound moves
-    by no more than the outer stopping tolerance.  There Jacobi's
-    relative stopping test may stop short of the fixed point, and the
-    tolerant busy-period solver is monotone only up to that tolerance
-    (a bound can even fall), so only the Jacobi passes give Jacobi's
-    answer.  Returns ``(bounds, sweeps)``.
+    Under the float timebase the sweeps also give way when a run is
+    ``tolerant`` (see :class:`~repro.core.analysis.busy_period.WarmStart`:
+    its demands have steps within the solver's stopping tolerance) and
+    when a bound moves by no more than the outer stopping tolerance.
+    There the tolerant busy-period solver is monotone only up to that
+    tolerance (a bound can even fall), Jacobi's relative stopping test
+    may then stop short of the fixed point, and only the Jacobi passes
+    give Jacobi's answer.  The sweeps cannot wait to see such a move:
+    in component order a bound whose inputs are final runs only once.
 
     In a verdict problem a bound that settles the verdict (see
     :meth:`_Problem.settles`) ends the sweeps too: it is returned as
@@ -459,71 +488,90 @@ def _chaotic(
     bounds = list(problem.seed)
     stops, extra, readers = problem.stops, problem.extra, problem.readers
     blocking, cutoffs = problem.own_blocking, problem.cutoffs
-    terms, interferers = compiled.terms, compiled.interferers
+    terms, gathers = compiled.terms, compiled.shape.gathers
     unbounded = problem.unbounded
     is_last, reads = compiled.is_last, compiled.shape.reads
     own, interfering = problem.jitters(bounds)
-    warm = [WarmStart() for _ in range(count)]
+    warm = problem.warm_starts()
+    triple = load = None
+    if not exact:
+        # Each subtask's (e, p, J) triple and jitter load as an
+        # interferer, rebuilt only when its interference jitter moves.
+        wcet, period = [term.wcet for term in terms], compiled.period
+        triple = list(zip(wcet, period, interfering))
+        load = [(j / p + 1) * e for e, p, j in triple]
     level = [0] * count
     dirty = [True] * count
     sweeps = 0
-    while True in dirty:
-        sweeps += 1
-        for k in range(count):
-            if not dirty[k]:
-                continue
-            dirty[k] = False
-            value = None
-            if not unbounded[k]:
-                value = kernel(
-                    terms[k],
-                    own[k],
-                    [interfering[other] for other in interferers[k]],
-                    blocking[k],
-                    cutoffs[k],
-                    timebase,
-                    warm[k],
-                )[3]
-            if value is None:
-                value = inf
-            if isinf(value) or (is_last[k] and value > stops[k]):
-                if problem.settles(k, value):
-                    bounds[k] = inf
-                    return bounds, sweeps
-                return None
-            old = bounds[k]
-            moved = value != old
-            if (
-                moved
-                and not exact
-                and abs(value - old) <= _CONVERGENCE_RTOL * max(1.0, old)
-            ):
-                return None
-            # Stored even when ``==``: the kernel's value, as Jacobi has it
-            # (an exact ``int`` may replace an equal seed ``Fraction``).
-            bounds[k] = value
-            if moved:
-                depth = 0
-                for r in reads[k]:
-                    if level[r] > depth:
-                        depth = level[r]
-                if depth + 1 >= max_iterations:
+    for members in problem.components:
+        component_sweeps = 0
+        while True in [dirty[k] for k in members]:
+            component_sweeps += 1
+            for k in members:
+                if not dirty[k]:
+                    continue
+                dirty[k] = False
+                value = None
+                if not unbounded[k]:
+                    gather = gathers[k]
+                    value = kernel(
+                        terms[k],
+                        own[k],
+                        gather(interfering),
+                        blocking[k],
+                        cutoffs[k],
+                        timebase,
+                        warm[k],
+                        None if exact else gather(triple),
+                        None if exact else gather(load),
+                    )[3]
+                if value is None:
+                    value = inf
+                if isinf(value) or (is_last[k] and value > stops[k]):
+                    if problem.settles(k, value):
+                        bounds[k] = inf
+                        return bounds, max(sweeps, component_sweeps)
                     return None
-                level[k] = depth + 1
-            if is_last[k]:
-                continue
-            successor = k + 1
-            own[successor] = convert(value)
-            deferral = extra[successor]
-            interfering[successor] = (
-                own[successor]
-                if deferral is None
-                else convert(value + deferral)
-            )
-            if moved:
-                dirty[successor] = True
-                for reader in readers[successor]:
-                    dirty[reader] = True
+                old = bounds[k]
+                moved = value != old
+                if not exact and (
+                    warm[k].tolerant
+                    or moved
+                    and abs(value - old) <= _CONVERGENCE_RTOL * max(1.0, old)
+                ):
+                    return None
+                # Stored even when ``==``: the kernel's value, as Jacobi
+                # has it (an exact ``int`` may replace an equal seed
+                # ``Fraction``).
+                bounds[k] = value
+                if moved:
+                    depth = 0
+                    for r in reads[k]:
+                        if level[r] > depth:
+                            depth = level[r]
+                    if depth + 1 >= max_iterations:
+                        return None
+                    level[k] = depth + 1
+                if is_last[k]:
+                    continue
+                successor = k + 1
+                own[successor] = convert(value)
+                deferral = extra[successor]
+                interfering[successor] = (
+                    own[successor]
+                    if deferral is None
+                    else convert(value + deferral)
+                )
+                if moved:
+                    if not exact:
+                        jitter = interfering[successor]
+                        e, p = wcet[successor], period[successor]
+                        triple[successor] = (e, p, jitter)
+                        load[successor] = (jitter / p + 1) * e
+                    dirty[successor] = True
+                    for reader in readers[successor]:
+                        dirty[reader] = True
+        sweeps = max(sweeps, component_sweeps)
     return bounds, sweeps
 
 
@@ -559,8 +607,9 @@ def analyze_sa_ds(
     need more than ``max_iterations`` passes -- the Jacobi passes run
     instead, so failed results, their lower-estimate bounds and notes,
     and the meaning of ``max_iterations`` are Jacobi's.
-    ``result.iterations`` counts the sweeps when the sweeps' result is
-    served, else the passes.
+    ``result.iterations`` counts the passes when the passes' result is
+    served, else the sweeps of the component of the ``reads`` graph
+    that took the most (see :func:`_chaotic`).
 
     Both iterations run as worklists: subtask ``k`` is recomputed only
     when its own jitter (its predecessor's bound) or the interference
@@ -572,7 +621,9 @@ def analyze_sa_ds(
     warm-starts: its busy period and completions resume from the fixed
     points of its previous run (a
     :class:`~repro.core.analysis.busy_period.WarmStart` per subtask),
-    which changes the iteration counts but not the fixed points.
+    which changes the iteration counts but not the fixed points.  Over
+    a ``compiled`` that SA/PM has already run on, the first runs start
+    from SA/PM's fixed points in the same way.
 
     Raises
     ------

@@ -21,6 +21,7 @@ from repro.core.analysis.busy_period import (
     _DIVERGED,
     CompiledSystem,
     SubtaskBusyPeriod,
+    WarmStart,
     busy_period_kernel,
     compiled_for,
 )
@@ -73,27 +74,45 @@ def _kernel_runs(
 ):
     """Steps 1-4 for every subtask in ``compiled.sids`` order, lazily:
     the kernel's tuples.  Strictly periodic releases, so no jitter of
-    its own; an infinite blocking term gives the diverged tuple."""
+    its own; an infinite blocking term gives the diverged tuple.  Each
+    run's fixed points are kept in ``compiled.sa_pm_records`` for SA/DS
+    to start from."""
     kernel = busy_period_kernel
     timebase = compiled.timebase
     zero = timebase.zero
     sids, terms = compiled.sids, compiled.terms
+    records = [WarmStart() for _ in sids]
+    compiled.sa_pm_records = records
     if jitter:
         inter_jitter = [timebase.convert(jitter.get(sid, 0)) for sid in sids]
     else:
         inter_jitter = [zero] * len(sids)
-    for k, others in enumerate(compiled.interferers):
+    exact = timebase.exact
+    packed = loads = None
+    if not exact:
+        # Each subtask's (e, p, J) triple and jitter load as an
+        # interferer, built once for all the runs it enters.
+        triple = list(
+            zip([term.wcet for term in terms], compiled.period, inter_jitter)
+        )
+        load = [(j / p + 1) * e for e, p, j in triple]
+    for k, gather in enumerate(compiled.shape.gathers):
         own_blocking = blocking.get(sids[k], 0.0) if blocking else 0.0
         if math.isinf(own_blocking):
             yield _DIVERGED
             continue
+        if not exact:
+            packed, loads = gather(triple), gather(load)
         yield kernel(
             terms[k],
             zero,
-            [inter_jitter[other] for other in others],
+            gather(inter_jitter),
             own_blocking,
             None,
             timebase,
+            records[k],
+            packed,
+            loads,
         )
 
 

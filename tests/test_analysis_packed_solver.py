@@ -9,7 +9,9 @@ reference: on both timebases and in both fold orders (accumulated onto
 return the same value (by type and ``repr``) after the same number of
 demand evaluations, the same ``None`` past the cap, and the same
 :class:`~repro.errors.AnalysisError` on a non-positive start, a
-decreasing iterate and an exhausted iteration budget.  Terms are drawn
+decreasing iterate and an exhausted iteration budget.  The packed
+solver's ``settled`` flag must hold only on an exact fixed point, and on
+every exact-timebase stop.  Terms are drawn
 as in ``test_warm_start_equals_cold_passes_near_demand_edges``: quarter
 steps moved by a few ``REL_EPS * p``, so demand sums land on the float
 ceiling's tolerance band.
@@ -65,15 +67,23 @@ def _reference_demand(packed, base, onto_base, exact):
 def _outcomes(packed, base, onto_base, start, cap, timebase):
     """``(packed solver, reference)``: each ``("value", repr, type,
     evaluations)`` or ``("error", message)``."""
+    demand = _reference_demand(packed, base, onto_base, timebase.exact)
     try:
-        value, evaluations = _solve_packed(
+        value, evaluations, settled = _solve_packed(
             packed, base, onto_base, start, cap, timebase.exact
         )
         packed_outcome = ("value", repr(value), type(value), evaluations)
+        # ``settled``: the stop was on an exact fixed point, as every
+        # exact stop is.
+        if value is None:
+            assert not settled
+        elif settled:
+            assert demand(value) == value
+        else:
+            assert not timebase.exact
     except AnalysisError as error:
         packed_outcome = ("error", str(error))
     calls = [0]
-    demand = _reference_demand(packed, base, onto_base, timebase.exact)
 
     def counted(t):
         calls[0] += 1
