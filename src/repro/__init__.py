@@ -18,62 +18,7 @@ Quickstart::
     print(result.average_eer(2))                  # T3 meets its deadline
 """
 
-from repro.advisor import Recommendation, recommend_protocol
-from repro.api import (
-    admit,
-    admit_many,
-    analyze,
-    compare_protocols,
-    fuzz_once,
-    run_protocol,
-)
-from repro.core.analysis import (
-    FAILURE_FACTOR,
-    AnalysisResult,
-    analyze_sa_ds,
-    analyze_sa_pm,
-)
-from repro.core.protocols import (
-    PROTOCOL_COSTS,
-    PROTOCOL_NAMES,
-    DirectSynchronization,
-    ModifiedPhaseModification,
-    PhaseModification,
-    ReleaseGuard,
-    make_controller,
-)
-from repro.errors import (
-    AnalysisError,
-    ConfigurationError,
-    ModelError,
-    ReproError,
-    SimulationError,
-    WorkloadError,
-)
-from repro.model import (
-    Subtask,
-    SubtaskId,
-    System,
-    Task,
-    proportional_deadline_monotonic,
-    validate_system,
-)
-from repro.service import (
-    AdmissionController,
-    AdmissionDecision,
-    AdmissionRequest,
-    DecisionCache,
-    ServiceMetrics,
-)
-from repro.sim import SimulationResult, Trace, simulate
-from repro.workload import (
-    PAPER_GRID,
-    WorkloadConfig,
-    example_two,
-    generate_system,
-    monitor_task_example,
-    paper_grid,
-)
+from repro._facade import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -125,3 +70,65 @@ __all__ = [
     "validate_system",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.advisor": ("Recommendation", "recommend_protocol"),
+        "repro.api": (
+            "admit",
+            "admit_many",
+            "analyze",
+            "compare_protocols",
+            "fuzz_once",
+            "run_protocol",
+        ),
+        "repro.core.analysis": (
+            "FAILURE_FACTOR",
+            "AnalysisResult",
+            "analyze_sa_ds",
+            "analyze_sa_pm",
+        ),
+        "repro.core.protocols": (
+            "PROTOCOL_COSTS",
+            "PROTOCOL_NAMES",
+            "DirectSynchronization",
+            "ModifiedPhaseModification",
+            "PhaseModification",
+            "ReleaseGuard",
+            "make_controller",
+        ),
+        "repro.errors": (
+            "AnalysisError",
+            "ConfigurationError",
+            "ModelError",
+            "ReproError",
+            "SimulationError",
+            "WorkloadError",
+        ),
+        "repro.model": (
+            "Subtask",
+            "SubtaskId",
+            "System",
+            "Task",
+            "proportional_deadline_monotonic",
+            "validate_system",
+        ),
+        "repro.service": (
+            "AdmissionController",
+            "AdmissionDecision",
+            "AdmissionRequest",
+            "DecisionCache",
+            "ServiceMetrics",
+        ),
+        "repro.sim": ("SimulationResult", "Trace", "simulate"),
+        "repro.workload": (
+            "PAPER_GRID",
+            "WorkloadConfig",
+            "example_two",
+            "generate_system",
+            "monitor_task_example",
+            "paper_grid",
+        ),
+    },
+)

@@ -132,8 +132,8 @@ def admit(system: System, **options):
     decisions through a content-hash cache.  Returns an
     :class:`~repro.service.requests.AdmissionDecision`.
     """
-    # Imported lazily: repro.service pulls in repro.io, whose
-    # experiment-surface types import this module right back.
+    # Imported here so that the simulation entry points load no service
+    # module (tests/test_import_closure.py pins it).
     from repro.service.engine import compute_decision
     from repro.service.requests import AdmissionRequest
 

@@ -56,42 +56,19 @@ Subcommands
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import Sequence
-
 import json
+import sys
 from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
-from repro.api import run_protocol
-from repro.core.analysis.sa_ds import analyze_sa_ds
-from repro.core.analysis.sa_pm import analyze_sa_pm
-from repro.core.protocols.costs import PROTOCOL_COSTS
 from repro.errors import ConfigurationError
-from repro.experiments.evaluation import DEFAULT_PROTOCOLS
-from repro.experiments.expectations import check_suite, render_report
-from repro.experiments.figures import (
-    bound_ratio_surface,
-    eer_ratio_surface,
-    failure_rate_surface,
-)
-from repro.experiments.runner import run_suite, sweep_grid
-from repro.io import (
-    analysis_result_to_dict,
-    load_system,
-    save_system,
-    surface_to_csv,
-)
-from repro.service import (
-    AdmissionController,
-    AdmissionRequest,
-    request_from_dict,
-    save_decisions_jsonl,
-)
-from repro.service.store import STORE_BACKENDS
-from repro.viz.gantt import render_gantt
-from repro.workload.config import WorkloadConfig, paper_grid
-from repro.workload.examples import example_two
-from repro.workload.generator import generate_system
+
+if TYPE_CHECKING:
+    from repro.service.engine import AdmissionController
+    from repro.service.requests import AdmissionRequest
+
+# Each handler imports what it runs, so a subcommand loads only its own
+# layers (tests/test_import_closure.py pins the bare import).
 
 __all__ = ["main"]
 
@@ -133,6 +110,12 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_example2(args: argparse.Namespace) -> int:
+    from repro.api import run_protocol
+    from repro.core.analysis.sa_ds import analyze_sa_ds
+    from repro.core.analysis.sa_pm import analyze_sa_pm
+    from repro.viz.gantt import render_gantt
+    from repro.workload.examples import example_two
+
     system = example_two()
     print(system.describe())
     print()
@@ -149,6 +132,8 @@ def _cmd_example2(args: argparse.Namespace) -> int:
 
 
 def _cmd_costs(_args: argparse.Namespace) -> int:
+    from repro.core.protocols.costs import PROTOCOL_COSTS
+
     print("Section 3.3 -- implementation complexity and run-time overhead:")
     for costs in PROTOCOL_COSTS.values():
         print("  " + costs.describe())
@@ -156,19 +141,13 @@ def _cmd_costs(_args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.load is not None:
-        system = load_system(args.load)
-    else:
-        if args.n is None or args.u is None:
-            print("analyze: need --n and --u (or --load FILE)", file=sys.stderr)
-            return 2
-        config = WorkloadConfig(
-            subtasks_per_task=args.n,
-            utilization=args.u,
-            tasks=args.tasks,
-            processors=args.processors,
-        )
-        system = generate_system(config, args.seed)
+    from repro.core.analysis.sa_ds import analyze_sa_ds
+    from repro.core.analysis.sa_pm import analyze_sa_pm
+    from repro.io import analysis_result_to_dict, save_system
+
+    system = _system_from_args(args, "analyze")
+    if system is None:
+        return 2
     if args.save is not None:
         save_system(system, args.save)
         print(f"saved system to {args.save}", file=sys.stderr)
@@ -199,6 +178,10 @@ def _progress(line: str) -> None:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    from repro.experiments.expectations import check_suite, render_report
+    from repro.experiments.runner import run_suite
+    from repro.io import surface_to_csv
+
     result = run_suite(
         systems=args.systems,
         subtask_counts=tuple(args.subtasks),
@@ -240,6 +223,15 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.evaluation import DEFAULT_PROTOCOLS
+    from repro.experiments.figures import (
+        bound_ratio_surface,
+        eer_ratio_surface,
+        failure_rate_surface,
+    )
+    from repro.experiments.runner import sweep_grid
+    from repro.workload.config import paper_grid
+
     analyses_only = args.number in (12, 13)
     configs = paper_grid(
         subtask_counts=tuple(args.subtasks),
@@ -353,6 +345,8 @@ def _add_admission_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_region_options(parser: argparse.ArgumentParser) -> None:
+    from repro.service.store import STORE_BACKENDS
+
     parser.add_argument(
         "--region-backend", choices=STORE_BACKENDS, default=None,
         help="enable the feasibility-region tier above the decision "
@@ -392,6 +386,8 @@ def _admission_options(args: argparse.Namespace) -> dict:
 def _make_controller(args: argparse.Namespace) -> AdmissionController:
     """The controller the admission commands run; it owns its stores,
     so closing it persists ``--cache-file`` and ``--region-file``."""
+    from repro.service.engine import AdmissionController
+
     return AdmissionController(
         cache_backend=None if args.no_cache else "memory",
         cache_capacity=args.cache_size,
@@ -439,6 +435,7 @@ def _load_admit_requests(
     ``repro-admission-request-v1`` lines carry their own.
     """
     from repro.io import system_from_dict
+    from repro.service.requests import AdmissionRequest, request_from_dict
 
     requests = []
     for number, line in enumerate(
@@ -474,6 +471,9 @@ def _cmd_admit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.io import load_system
+    from repro.service.requests import AdmissionRequest, save_decisions_jsonl
+
     options = _admission_options(args)
     if args.load is not None:
         requests = [
@@ -505,6 +505,10 @@ def _cmd_admit(args: argparse.Namespace) -> int:
 
 def _cmd_admit_bench(args: argparse.Namespace) -> int:
     import time
+
+    from repro.service.requests import AdmissionRequest
+    from repro.workload.config import WorkloadConfig
+    from repro.workload.generator import generate_system
 
     config = WorkloadConfig(
         subtasks_per_task=args.n,
@@ -554,6 +558,10 @@ def _cmd_admit_bench(args: argparse.Namespace) -> int:
 
 def _system_from_args(args: argparse.Namespace, command: str):
     """The ``--load FILE`` / ``--n --u`` system-source convention."""
+    from repro.io import load_system
+    from repro.workload.config import WorkloadConfig
+    from repro.workload.generator import generate_system
+
     if args.load is not None:
         return load_system(args.load)
     if args.n is None or args.u is None:
@@ -606,6 +614,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def _cmd_regions(args: argparse.Namespace) -> int:
     from repro.regions import compute_region, execution_vector, region_to_dict
+    from repro.service.requests import AdmissionRequest
 
     system = _system_from_args(args, "regions")
     if system is None:
@@ -675,6 +684,8 @@ def _frontend_config(args: argparse.Namespace):
 
 
 def _add_frontend_options(parser: argparse.ArgumentParser) -> None:
+    from repro.service.store import STORE_BACKENDS
+
     parser.add_argument(
         "--shards", type=int, default=2,
         help="worker shards on the consistent-hash ring (default: 2)",
@@ -782,7 +793,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from repro.service.loadgen import LoadgenConfig, run_campaign
-    from repro.workload.config import WorkloadConfig as _WC
+    from repro.workload.config import WorkloadConfig
 
     config = LoadgenConfig(
         requests=args.requests,
@@ -792,7 +803,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         concurrency=args.concurrency,
         arrival_rate=args.arrival_rate,
         tenants=tuple(args.tenants),
-        workload=_WC(
+        workload=WorkloadConfig(
             subtasks_per_task=args.n,
             utilization=args.u,
             tasks=args.tasks,
@@ -857,6 +868,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_clock_study(args: argparse.Namespace) -> int:
     from repro.experiments.clock_study import run_clock_study
+    from repro.workload.config import WorkloadConfig
 
     config = None
     if args.n is not None or args.u is not None:
@@ -927,6 +939,7 @@ def _cmd_service_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_locks(args: argparse.Namespace) -> int:
     from repro.experiments.locks_study import run_locks_study
+    from repro.workload.config import WorkloadConfig
 
     config = None
     if args.n is not None or args.u is not None:

@@ -10,20 +10,7 @@ admission service, and :mod:`repro.core.analysis.skew` for the
 skew-aware schedulability bounds built on the models' error envelopes.
 """
 
-from repro.clocks.config import (
-    CLOCK_KINDS,
-    ClockConfig,
-    clock_config_from_dict,
-    clock_config_to_dict,
-)
-from repro.clocks.models import (
-    BoundedDrift,
-    ClockMap,
-    ClockModel,
-    FixedOffset,
-    PerfectClock,
-    ResyncClock,
-)
+from repro._facade import lazy_exports
 
 __all__ = [
     "CLOCK_KINDS",
@@ -37,3 +24,23 @@ __all__ = [
     "clock_config_from_dict",
     "clock_config_to_dict",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.clocks.config": (
+            "CLOCK_KINDS",
+            "ClockConfig",
+            "clock_config_from_dict",
+            "clock_config_to_dict",
+        ),
+        "repro.clocks.models": (
+            "BoundedDrift",
+            "ClockMap",
+            "ClockModel",
+            "FixedOffset",
+            "PerfectClock",
+            "ResyncClock",
+        ),
+    },
+)

@@ -1,27 +1,6 @@
 """Schedulability analyses: SA/PM (valid for PM, MPM, RG) and SA/DS."""
 
-from repro.core.analysis.busy_period import (
-    SubtaskBusyPeriod,
-    analyze_subtask,
-    interference_terms,
-)
-from repro.core.analysis.fixpoint import ceil_tolerant, solve_fixed_point
-from repro.core.analysis.local_deadline import analyze_local_deadline
-from repro.core.analysis.overheads import (
-    analyze_with_overhead,
-    inflate_for_overhead,
-)
-from repro.core.analysis.results import FAILURE_FACTOR, AnalysisResult
-from repro.core.analysis.sa_ds import (
-    analyze_sa_ds,
-    ieert_pass,
-    initial_ieer_bounds,
-)
-from repro.core.analysis.sa_pm import analyze_sa_pm, sa_pm_subtask_details
-from repro.core.analysis.sensitivity import (
-    breakdown_scaling,
-    scale_execution_times,
-)
+from repro._facade import lazy_exports
 
 __all__ = [
     "FAILURE_FACTOR",
@@ -42,3 +21,34 @@ __all__ = [
     "sa_pm_subtask_details",
     "solve_fixed_point",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.analysis.busy_period": (
+            "SubtaskBusyPeriod",
+            "analyze_subtask",
+            "interference_terms",
+        ),
+        "repro.core.analysis.fixpoint": ("ceil_tolerant", "solve_fixed_point"),
+        "repro.core.analysis.local_deadline": ("analyze_local_deadline",),
+        "repro.core.analysis.overheads": (
+            "analyze_with_overhead",
+            "inflate_for_overhead",
+        ),
+        "repro.core.analysis.results": ("FAILURE_FACTOR", "AnalysisResult"),
+        "repro.core.analysis.sa_ds": (
+            "analyze_sa_ds",
+            "ieert_pass",
+            "initial_ieer_bounds",
+        ),
+        "repro.core.analysis.sa_pm": (
+            "analyze_sa_pm",
+            "sa_pm_subtask_details",
+        ),
+        "repro.core.analysis.sensitivity": (
+            "breakdown_scaling",
+            "scale_execution_times",
+        ),
+    },
+)

@@ -161,6 +161,7 @@ def analyze_sa_pm_skewed(
     blocking: Mapping[SubtaskId, float] | None = None,
     timebase: Timebase | str = FLOAT,
     compiled: CompiledSystem | None = None,
+    sa_pm: AnalysisResult | None = None,
 ) -> AnalysisResult:
     """Algorithm SA/PM inflated by a clock-skew envelope.
 
@@ -174,7 +175,9 @@ def analyze_sa_pm_skewed(
     :func:`~repro.core.analysis.sa_pm.analyze_sa_pm` exactly.
 
     ``compiled`` is ``system`` already compiled in ``timebase``, when
-    the caller shares one compilation between analyses.
+    the caller shares one compilation between analyses; ``sa_pm`` is
+    plain SA/PM's result on ``system`` in ``timebase``, when the caller
+    already ran it, and is not run again.
     """
     tb = get_timebase(timebase)
     compiled = compiled_for(system, tb, compiled)
@@ -186,9 +189,11 @@ def analyze_sa_pm_skewed(
             rate = max(rate, clocks.max_rate())
             jump = max(jump, clocks.max_jump())
     _check_envelope(rate, jump)
+    if sa_pm is None:
+        sa_pm = analyze_sa_pm(system, timebase=tb, compiled=compiled)
     delta, jitter = _skew_terms(
         system,
-        analyze_sa_pm(system, timebase=tb, compiled=compiled),
+        sa_pm,
         rate,
         jump,
         tb,

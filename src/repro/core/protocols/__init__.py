@@ -1,22 +1,6 @@
 """The paper's synchronization protocols: DS, PM, MPM and RG."""
 
-from repro.core.protocols.costs import (
-    PROTOCOL_COSTS,
-    ProtocolCosts,
-    overhead_per_instance,
-)
-from repro.core.protocols.direct import DirectSynchronization
-from repro.core.protocols.factory import (
-    PROTOCOL_NAMES,
-    make_controller,
-    pm_bounds_for,
-)
-from repro.core.protocols.modified_pm import ModifiedPhaseModification
-from repro.core.protocols.phase_modification import (
-    PhaseModification,
-    compute_modified_phases,
-)
-from repro.core.protocols.release_guard import ReleaseGuard
+from repro._facade import lazy_exports
 
 __all__ = [
     "PROTOCOL_COSTS",
@@ -31,3 +15,26 @@ __all__ = [
     "overhead_per_instance",
     "pm_bounds_for",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.protocols.costs": (
+            "PROTOCOL_COSTS",
+            "ProtocolCosts",
+            "overhead_per_instance",
+        ),
+        "repro.core.protocols.direct": ("DirectSynchronization",),
+        "repro.core.protocols.factory": (
+            "PROTOCOL_NAMES",
+            "make_controller",
+            "pm_bounds_for",
+        ),
+        "repro.core.protocols.modified_pm": ("ModifiedPhaseModification",),
+        "repro.core.protocols.phase_modification": (
+            "PhaseModification",
+            "compute_modified_phases",
+        ),
+        "repro.core.protocols.release_guard": ("ReleaseGuard",),
+    },
+)

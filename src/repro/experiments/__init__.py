@@ -1,28 +1,6 @@
 """Experiment harness regenerating the paper's evaluation (Figs. 12-16)."""
 
-from repro.experiments.evaluation import (
-    SystemEvaluation,
-    evaluate_config,
-    evaluate_system,
-)
-from repro.experiments.expectations import (
-    PAPER_EXPECTATIONS,
-    Expectation,
-    check_suite,
-    render_report,
-)
-from repro.experiments.figures import (
-    bound_ratio_surface,
-    eer_ratio_surface,
-    failure_rate_surface,
-)
-from repro.experiments.figures import schedulability_surface
-from repro.experiments.parallel import parallel_sweep_grid
-from repro.experiments.report import suite_report
-from repro.experiments.tightness import TightnessStudy, measure_tightness
-from repro.experiments.runner import SuiteResult, run_suite, sweep_grid
-from repro.experiments.stats import MeanWithCI, mean_with_ci
-from repro.experiments.surface import Cell, Surface
+from repro._facade import lazy_exports
 
 __all__ = [
     "Cell",
@@ -48,3 +26,32 @@ __all__ = [
     "run_suite",
     "sweep_grid",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.experiments.evaluation": (
+            "SystemEvaluation",
+            "evaluate_config",
+            "evaluate_system",
+        ),
+        "repro.experiments.expectations": (
+            "PAPER_EXPECTATIONS",
+            "Expectation",
+            "check_suite",
+            "render_report",
+        ),
+        "repro.experiments.figures": (
+            "bound_ratio_surface",
+            "eer_ratio_surface",
+            "failure_rate_surface",
+            "schedulability_surface",
+        ),
+        "repro.experiments.parallel": ("parallel_sweep_grid",),
+        "repro.experiments.report": ("suite_report",),
+        "repro.experiments.tightness": ("TightnessStudy", "measure_tightness"),
+        "repro.experiments.runner": ("SuiteResult", "run_suite", "sweep_grid"),
+        "repro.experiments.stats": ("MeanWithCI", "mean_with_ci"),
+        "repro.experiments.surface": ("Cell", "Surface"),
+    },
+)

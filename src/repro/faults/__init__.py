@@ -23,20 +23,7 @@ See ``docs/faults.md`` for the fault model and which protocol survives
 which fault.
 """
 
-from repro.faults.channel import FaultyChannel
-from repro.faults.config import (
-    FAULT_KINDS,
-    OVERRUN_POLICIES,
-    FaultConfig,
-    fault_config_from_dict,
-    fault_config_to_dict,
-)
-from repro.faults.plane import (
-    VIOLATION_KINDS,
-    FaultEvent,
-    FaultLog,
-    FaultPlane,
-)
+from repro._facade import lazy_exports
 
 __all__ = [
     "FAULT_KINDS",
@@ -50,3 +37,23 @@ __all__ = [
     "fault_config_from_dict",
     "fault_config_to_dict",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.faults.channel": ("FaultyChannel",),
+        "repro.faults.config": (
+            "FAULT_KINDS",
+            "OVERRUN_POLICIES",
+            "FaultConfig",
+            "fault_config_from_dict",
+            "fault_config_to_dict",
+        ),
+        "repro.faults.plane": (
+            "VIOLATION_KINDS",
+            "FaultEvent",
+            "FaultLog",
+            "FaultPlane",
+        ),
+    },
+)

@@ -14,23 +14,7 @@ campaigns, process-pool parallel), :func:`~repro.fuzz.campaign.fuzz_one`
 subcommands.
 """
 
-from repro.fuzz.campaign import (
-    PROFILES,
-    CampaignReport,
-    CaseOutcome,
-    fuzz_one,
-    run_campaign,
-)
-from repro.fuzz.corpus import (
-    Counterexample,
-    ReplayOutcome,
-    append_counterexample,
-    load_corpus,
-    replay_corpus,
-)
-from repro.fuzz.oracles import ORACLES, Oracle, check_case, oracle_names
-from repro.fuzz.runner import CheckedReleaseGuard, FuzzCase, build_case
-from repro.fuzz.shrink import ShrinkResult, shrink_system
+from repro._facade import lazy_exports
 
 __all__ = [
     "ORACLES",
@@ -53,3 +37,31 @@ __all__ = [
     "run_campaign",
     "shrink_system",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.fuzz.campaign": (
+            "PROFILES",
+            "CampaignReport",
+            "CaseOutcome",
+            "fuzz_one",
+            "run_campaign",
+        ),
+        "repro.fuzz.corpus": (
+            "Counterexample",
+            "ReplayOutcome",
+            "append_counterexample",
+            "load_corpus",
+            "replay_corpus",
+        ),
+        "repro.fuzz.oracles": (
+            "ORACLES",
+            "Oracle",
+            "check_case",
+            "oracle_names",
+        ),
+        "repro.fuzz.runner": ("CheckedReleaseGuard", "FuzzCase", "build_case"),
+        "repro.fuzz.shrink": ("ShrinkResult", "shrink_system"),
+    },
+)

@@ -11,13 +11,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.analysis.results import AnalysisResult
 from repro.errors import ConfigurationError
-from repro.experiments.surface import Surface
 from repro.model.system import System
 from repro.model.task import CriticalSection, Subtask, Task
+
+if TYPE_CHECKING:
+    from repro.experiments.surface import Surface
 
 __all__ = [
     "encode_bound",
@@ -214,6 +216,8 @@ def surface_to_dict(surface: Surface) -> dict[str, Any]:
 
 def surface_from_dict(data: dict[str, Any]) -> Surface:
     """Rebuild a surface exported by :func:`surface_to_dict`."""
+    from repro.experiments.surface import Surface
+
     surface = Surface(data["name"])
     for cell in data["cells"]:
         surface.put(

@@ -28,22 +28,7 @@ This package supplies everything above the model:
   own draws.
 """
 
-from repro.locks.analysis import (
-    agent_augmented_system,
-    analyze_sa_ds_blocking,
-    analyze_sa_pm_blocking,
-    blocking_terms,
-)
-from repro.locks.assignment import LockAssignment, build_assignment
-from repro.locks.config import (
-    LOCKING_PROTOCOLS,
-    LockingConfig,
-    locking_config_from_dict,
-    locking_config_to_dict,
-)
-from repro.locks.inject import inject_critical_sections
-from repro.locks.log import LockEvent, LockLog
-from repro.locks.manager import LockManager
+from repro._facade import lazy_exports
 
 __all__ = [
     "LOCKING_PROTOCOLS",
@@ -61,3 +46,25 @@ __all__ = [
     "blocking_terms",
     "inject_critical_sections",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.locks.analysis": (
+            "agent_augmented_system",
+            "analyze_sa_ds_blocking",
+            "analyze_sa_pm_blocking",
+            "blocking_terms",
+        ),
+        "repro.locks.assignment": ("LockAssignment", "build_assignment"),
+        "repro.locks.config": (
+            "LOCKING_PROTOCOLS",
+            "LockingConfig",
+            "locking_config_from_dict",
+            "locking_config_to_dict",
+        ),
+        "repro.locks.inject": ("inject_critical_sections",),
+        "repro.locks.log": ("LockEvent", "LockLog"),
+        "repro.locks.manager": ("LockManager",),
+    },
+)

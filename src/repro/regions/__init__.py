@@ -31,35 +31,7 @@ Layers
     sharded frontend.
 """
 
-from repro.regions.compute import (
-    DEFAULT_MAX_FACTOR,
-    DEFAULT_TOLERANCE,
-    compute_region,
-    probe_point,
-    required_analyses,
-)
-from repro.regions.incremental import update_region
-from repro.regions.region import (
-    REGION_ANALYSES,
-    FeasibilityRegion,
-    region_from_dict,
-    region_to_dict,
-)
-from repro.regions.shape import (
-    SHAPE_FORMAT,
-    dimension_names,
-    execution_vector,
-    shape_key,
-    shape_payload,
-    system_at,
-    task_shape_token,
-)
-from repro.regions.store import (
-    REGION_STORES,
-    MemoryRegionStore,
-    SqliteRegionStore,
-)
-from repro.regions.tier import RegionTier
+from repro._facade import lazy_exports
 
 __all__ = [
     "DEFAULT_MAX_FACTOR",
@@ -84,3 +56,38 @@ __all__ = [
     "task_shape_token",
     "update_region",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.regions.compute": (
+            "DEFAULT_MAX_FACTOR",
+            "DEFAULT_TOLERANCE",
+            "compute_region",
+            "probe_point",
+            "required_analyses",
+        ),
+        "repro.regions.incremental": ("update_region",),
+        "repro.regions.region": (
+            "REGION_ANALYSES",
+            "FeasibilityRegion",
+            "region_from_dict",
+            "region_to_dict",
+        ),
+        "repro.regions.shape": (
+            "SHAPE_FORMAT",
+            "dimension_names",
+            "execution_vector",
+            "shape_key",
+            "shape_payload",
+            "system_at",
+            "task_shape_token",
+        ),
+        "repro.regions.store": (
+            "REGION_STORES",
+            "MemoryRegionStore",
+            "SqliteRegionStore",
+        ),
+        "repro.regions.tier": ("RegionTier",),
+    },
+)

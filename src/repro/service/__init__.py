@@ -56,35 +56,7 @@ Quickstart::
         deploy(my_system, protocol=decision.protocol)
 """
 
-from repro.service.backends import DECISION_STORES, SqliteDecisionCache
-from repro.service.batch import admit_batch
-from repro.service.cache import CacheStats, DecisionCache, SingleFlight
-from repro.service.durability import RecoveryReport
-from repro.service.engine import AdmissionController, compute_decision
-from repro.service.frontend import (
-    AdmissionFrontend,
-    FrontendConfig,
-    TenantQuota,
-    serve_frontend,
-)
-from repro.service.hashing import request_key, system_key
-from repro.service.loadgen import LoadgenConfig, LoadReport, run_campaign, run_load
-from repro.service.metrics import ServiceMetrics
-from repro.service.sharding import ShardRing
-from repro.service.store import STORE_BACKENDS, StoreCodec, make_store
-from repro.service.supervision import BreakerConfig, CircuitBreaker
-from repro.service.requests import (
-    ALL_PROTOCOLS,
-    AdmissionDecision,
-    AdmissionRequest,
-    decision_from_dict,
-    decision_to_dict,
-    load_decisions_jsonl,
-    load_requests_jsonl,
-    request_from_dict,
-    request_to_dict,
-    save_decisions_jsonl,
-)
+from repro._facade import lazy_exports
 
 __all__ = [
     "ALL_PROTOCOLS",
@@ -128,19 +100,44 @@ __all__ = [
     "system_key",
 ]
 
-
-def __getattr__(name: str):
-    # Lazy: repro.regions.tier imports repro.service submodules, so a
-    # top-level import here would be circular.  The chaos harness is
-    # lazy too -- it pulls in the region tier.
-    if name == "RegionTier":
-        from repro.regions.tier import RegionTier
-
-        return RegionTier
-    if name in ("ServiceChaosReport", "run_service_chaos"):
-        from repro.service import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.service.backends": ("DECISION_STORES", "SqliteDecisionCache"),
+        "repro.service.batch": ("admit_batch",),
+        "repro.service.cache": ("CacheStats", "DecisionCache", "SingleFlight"),
+        "repro.service.durability": ("RecoveryReport",),
+        "repro.service.engine": ("AdmissionController", "compute_decision"),
+        "repro.service.frontend": (
+            "AdmissionFrontend",
+            "FrontendConfig",
+            "TenantQuota",
+            "serve_frontend",
+        ),
+        "repro.service.hashing": ("request_key", "system_key"),
+        "repro.regions.tier": ("RegionTier",),
+        "repro.service.loadgen": (
+            "LoadgenConfig",
+            "LoadReport",
+            "run_campaign",
+            "run_load",
+        ),
+        "repro.service.chaos": ("ServiceChaosReport", "run_service_chaos"),
+        "repro.service.metrics": ("ServiceMetrics",),
+        "repro.service.sharding": ("ShardRing",),
+        "repro.service.store": ("STORE_BACKENDS", "StoreCodec", "make_store"),
+        "repro.service.supervision": ("BreakerConfig", "CircuitBreaker"),
+        "repro.service.requests": (
+            "ALL_PROTOCOLS",
+            "AdmissionDecision",
+            "AdmissionRequest",
+            "decision_from_dict",
+            "decision_to_dict",
+            "load_decisions_jsonl",
+            "load_requests_jsonl",
+            "request_from_dict",
+            "request_to_dict",
+            "save_decisions_jsonl",
+        ),
+    },
+)

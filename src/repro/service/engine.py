@@ -120,6 +120,7 @@ def compute_decision(
             rate=request.clock_rate_bound,
             jump=request.clock_jump_bound,
             compiled=compiled,
+            sa_pm=sa_pm,
         )
 
     def _certifies(protocol: str) -> bool:

@@ -1,37 +1,6 @@
 """Discrete-event simulation of distributed fixed-priority scheduling."""
 
-from repro.sim.engine import EventQueue, Kernel
-from repro.sim.interfaces import ReleaseController
-from repro.sim.metrics import (
-    TaskMetrics,
-    TraceMetrics,
-    compute_metrics,
-    output_jitter,
-)
-from repro.sim.network import (
-    FixedLatency,
-    SignalLatencyModel,
-    UniformLatency,
-    ZeroLatency,
-)
-from repro.sim.processor_stats import (
-    ProcessorStatistics,
-    processor_statistics,
-)
-from repro.sim.scheduler import ActiveInstance, ProcessorScheduler
-from repro.sim.simulator import SimulationResult, default_horizon, simulate
-from repro.sim.trace_validation import validate_trace
-from repro.sim.tracing import PrecedenceViolation, Segment, Trace
-from repro.sim.variation import (
-    DeterministicExecution,
-    ExecutionModel,
-    NoJitter,
-    OverrunInjection,
-    ReleaseJitterModel,
-    TruncatedNormalExecution,
-    UniformReleaseJitter,
-    UniformScaledExecution,
-)
+from repro._facade import lazy_exports
 
 __all__ = [
     "ActiveInstance",
@@ -65,3 +34,45 @@ __all__ = [
     "simulate",
     "validate_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.sim.engine": ("EventQueue", "Kernel"),
+        "repro.sim.interfaces": ("ReleaseController",),
+        "repro.sim.metrics": (
+            "TaskMetrics",
+            "TraceMetrics",
+            "compute_metrics",
+            "output_jitter",
+        ),
+        "repro.sim.network": (
+            "FixedLatency",
+            "SignalLatencyModel",
+            "UniformLatency",
+            "ZeroLatency",
+        ),
+        "repro.sim.processor_stats": (
+            "ProcessorStatistics",
+            "processor_statistics",
+        ),
+        "repro.sim.scheduler": ("ActiveInstance", "ProcessorScheduler"),
+        "repro.sim.simulator": (
+            "SimulationResult",
+            "default_horizon",
+            "simulate",
+        ),
+        "repro.sim.trace_validation": ("validate_trace",),
+        "repro.sim.tracing": ("PrecedenceViolation", "Segment", "Trace"),
+        "repro.sim.variation": (
+            "DeterministicExecution",
+            "ExecutionModel",
+            "NoJitter",
+            "OverrunInjection",
+            "ReleaseJitterModel",
+            "TruncatedNormalExecution",
+            "UniformReleaseJitter",
+            "UniformScaledExecution",
+        ),
+    },
+)

@@ -10,10 +10,7 @@ by the golden-trace corpus (``tests/corpus/golden_traces/``), the
 ``docs/batch-engine.md`` for the design.
 """
 
-from repro.sim.batch.backend import batch_fallback_reason, batch_protocol_of
-from repro.sim.batch.calendar import CalendarQueue
-from repro.sim.batch.engine import BATCH_PROTOCOLS, BatchRun, run_batch
-from repro.sim.batch.packed import PackedTrace, encode
+from repro._facade import lazy_exports
 
 __all__ = [
     "BATCH_PROTOCOLS",
@@ -25,3 +22,16 @@ __all__ = [
     "encode",
     "run_batch",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.sim.batch.backend": (
+            "batch_fallback_reason",
+            "batch_protocol_of",
+        ),
+        "repro.sim.batch.calendar": ("CalendarQueue",),
+        "repro.sim.batch.engine": ("BATCH_PROTOCOLS", "BatchRun", "run_batch"),
+        "repro.sim.batch.packed": ("PackedTrace", "encode"),
+    },
+)

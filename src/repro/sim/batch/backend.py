@@ -21,6 +21,10 @@ the exact class only, so further subclasses must opt in again).
 from __future__ import annotations
 
 from repro.clocks.models import ClockMap
+from repro.core.protocols.direct import DirectSynchronization
+from repro.core.protocols.modified_pm import ModifiedPhaseModification
+from repro.core.protocols.phase_modification import PhaseModification
+from repro.core.protocols.release_guard import ReleaseGuard
 from repro.faults.config import FaultConfig
 from repro.locks.config import LockingConfig
 from repro.model.system import System
@@ -45,14 +49,6 @@ def batch_protocol_of(controller: ReleaseController) -> str | None:
     via an explicit ``batch_equivalent`` declaration in their own class
     body (see module docstring).
     """
-    # Imported here, not at module level: the protocol modules import
-    # repro.sim.interfaces, whose package init pulls in the simulator
-    # facade, which imports this module -- a cycle at import time.
-    from repro.core.protocols.direct import DirectSynchronization
-    from repro.core.protocols.modified_pm import ModifiedPhaseModification
-    from repro.core.protocols.phase_modification import PhaseModification
-    from repro.core.protocols.release_guard import ReleaseGuard
-
     kind = type(controller)
     if kind is DirectSynchronization:
         return "DS"

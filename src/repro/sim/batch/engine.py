@@ -75,6 +75,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.core.protocols.phase_modification import compute_modified_phases
 from repro.errors import ConfigurationError, SimulationError
 from repro.model.system import System
 from repro.model.task import SubtaskId
@@ -233,12 +234,6 @@ def run_batch(
     pm_phase: list[float] = []
     mpm_bound: list[float] = []
     if is_pm:
-        # Function-level import: the protocol package participates in an
-        # import cycle with repro.sim at module-load time.
-        from repro.core.protocols.phase_modification import (
-            compute_modified_phases,
-        )
-
         if bounds is None:
             raise ConfigurationError("PM protocol needs response-time bounds")
         table = compute_modified_phases(system, bounds, timebase=FLOAT)

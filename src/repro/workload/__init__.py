@@ -1,9 +1,6 @@
 """Synthetic workloads (§5.1) and the paper's worked examples."""
 
-from repro.workload.config import PAPER_GRID, WorkloadConfig, paper_grid
-from repro.workload.distributions import split_utilization, truncated_exponential
-from repro.workload.examples import example_two, monitor_task_example
-from repro.workload.generator import generate_batch, generate_system
+from repro._facade import lazy_exports
 
 __all__ = [
     "PAPER_GRID",
@@ -16,3 +13,20 @@ __all__ = [
     "split_utilization",
     "truncated_exponential",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.workload.config": (
+            "PAPER_GRID",
+            "WorkloadConfig",
+            "paper_grid",
+        ),
+        "repro.workload.distributions": (
+            "split_utilization",
+            "truncated_exponential",
+        ),
+        "repro.workload.examples": ("example_two", "monitor_task_example"),
+        "repro.workload.generator": ("generate_batch", "generate_system"),
+    },
+)

@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.analysis.busy_period import CompiledSystem
+from repro.core.analysis.skew import analyze_sa_pm_skewed
 from repro.errors import ConfigurationError
 from repro.service.cache import DecisionCache
 from repro.service.engine import AdmissionController, compute_decision
 from repro.service.hashing import request_key
 from repro.service.requests import AdmissionRequest
+from repro.workload.config import WorkloadConfig
+from repro.workload.generator import generate_system
 
 
 class TestComputeDecision:
@@ -132,6 +135,39 @@ class TestComputeDecision:
         assert compilations == [small_system]
         assert "SA/PM-skew" in decision.task_bounds
         assert decision == uncounted
+
+    def test_skew_envelope_runs_sa_pm_once(self, monkeypatch):
+        """A skew envelope reuses the decision's SA/PM result: one SA/PM
+        kernel run per subtask instead of two, and the decision of a run
+        that recomputes SA/PM inside the skewed analysis."""
+        import repro.core.analysis.sa_pm as sa_pm_module
+        import repro.service.engine as engine_module
+
+        system = generate_system(
+            WorkloadConfig(subtasks_per_task=3, utilization=0.5), 0
+        )
+        assert system.subtask_count == 36
+        request = AdmissionRequest(system=system, clock_rate_bound=1e-4)
+        runs = []
+        kernel = sa_pm_module.busy_period_kernel
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return kernel(*args, **kwargs)
+
+        def recomputing(*args, sa_pm=None, **kwargs):
+            return analyze_sa_pm_skewed(*args, **kwargs)
+
+        monkeypatch.setattr(sa_pm_module, "busy_period_kernel", counted)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "analyze_sa_pm_skewed", recomputing)
+            recomputed = compute_decision(request)
+        assert len(runs) == 72
+        runs.clear()
+        decision = compute_decision(request)
+        assert len(runs) == 36
+        assert decision == recomputed
+        assert "SA/PM-skew" in decision.task_bounds
 
     def test_unknown_protocol_rejected(self, two_stage_pipeline):
         with pytest.raises(ConfigurationError):
